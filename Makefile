@@ -4,7 +4,7 @@ GO ?= go
 # is derived from this (BENCH_PR10.json -> bench-pr10).
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: build test bench bench-json bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-hotpath bench-execcore smoke-server fmt examples ci
+.PHONY: build test bench bench-json bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-hotpath bench-execcore bench-e2e smoke-server fmt examples ci
 
 build:
 	$(GO) build ./...
@@ -50,12 +50,22 @@ bench-pr6:
 bench-pr5:
 	$(MAKE) bench-json BENCH_OUT=BENCH_PR5.json
 
-# Hot-path microbenchmarks only (submit path, compile step, page filtering),
-# with allocation counts; CI runs these through benchstat for readable
-# ns/op + allocs/op tables.
+# Hot-path microbenchmarks only (submit path, compile step, page filtering,
+# and the relop kernels: aggregation, expression evaluation, join build and
+# probe), with allocation counts; CI runs these through benchstat for
+# readable ns/op + allocs/op tables.
 bench-hotpath:
-	$(GO) test -run='^$$' -bench='SubmitPath|CompileStep|PredFilter' -benchmem \
-		./internal/tpch/ ./internal/relop/
+	$(GO) test -run='^$$' \
+		-bench='SubmitPath|CompileStep|PredFilter|HashAggPush|ArithEval|JoinBuild|JoinProbe' \
+		-benchmem ./internal/tpch/ ./internal/relop/
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/, a module of its
+# own): every workload, one child process each. BENCH_ARGS passes flags
+# through, e.g. BENCH_ARGS='-workloads alone,share -seed 7' or
+# BENCH_ARGS='-agree a.json b.json'.
+BENCH_ARGS ?=
+bench-e2e:
+	bash bench/run.sh $(BENCH_ARGS)
 
 # Execution-core microbenchmarks only (scheduler worker sweep with the steal
 # counter, fused vs staged chains with allocation counts); CI runs these

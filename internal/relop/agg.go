@@ -2,9 +2,6 @@ package relop
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/storage"
 )
@@ -60,24 +57,13 @@ type AggSpec struct {
 // downstream MergeHashAgg to combine — the clone-local half of a
 // partitioned parallel aggregation.
 type HashAgg struct {
-	groupBy   []string
-	specs     []AggSpec
-	inSchema  storage.Schema
 	outSchema storage.Schema
-	groups    map[string]*aggState
+	tbl       *aggTable
+	scratch   exprScratch
 	emit      Emit
 	batchRows int
 	partial   bool
 	done      bool
-}
-
-type aggState struct {
-	keyVals []any // group key values, in groupBy order
-	sums    []float64
-	counts  []int64
-	mins    []float64
-	maxs    []float64
-	seen    []bool
 }
 
 // NewHashAgg builds a grouping aggregate. groupBy may be empty for a global
@@ -87,10 +73,10 @@ func NewHashAgg(in storage.Schema, groupBy []string, specs []AggSpec, emit Emit)
 	return NewHashAggSized(in, groupBy, specs, 0, emit)
 }
 
-// NewHashAggSized is NewHashAgg with a group-count hint: the group map is
+// NewHashAggSized is NewHashAgg with a group-count hint: the group table is
 // pre-sized to the estimated number of distinct keys, sparing the incremental
-// rehashes a growing map pays. Advisory only — zero or a wrong estimate never
-// affects results.
+// rehashes a growing table pays. Advisory only — zero or a wrong estimate
+// never affects results.
 func NewHashAggSized(in storage.Schema, groupBy []string, specs []AggSpec, hint int, emit Emit) (*HashAgg, error) {
 	var outCols []storage.Column
 	for _, g := range groupBy {
@@ -129,11 +115,8 @@ func NewHashAggSized(in storage.Schema, groupBy []string, specs []AggSpec, hint 
 		hint = 0
 	}
 	return &HashAgg{
-		groupBy:   groupBy,
-		specs:     specs,
-		inSchema:  in,
 		outSchema: out,
-		groups:    make(map[string]*aggState, hint),
+		tbl:       newAggTable(groupBy, outCols[:len(groupBy)], specs, hint),
 		emit:      emit,
 		batchRows: storage.RowsPerPage(out, storage.DefaultPageSize),
 	}, nil
@@ -145,55 +128,58 @@ func (h *HashAgg) OutSchema() storage.Schema { return h.outSchema }
 // ConsumesInput reports that Push folds each batch into accumulators.
 func (h *HashAgg) ConsumesInput() bool { return true }
 
-// Push implements Operator.
+// Push implements Operator: resolves the page to group ids, then folds each
+// aggregate's input into its accumulators with one loop per aggregate.
 func (h *HashAgg) Push(b *storage.Batch) error {
 	if h.done {
 		return ErrFinished
 	}
-	keyVecs := make([]storage.Vector, len(h.groupBy))
-	for i, g := range h.groupBy {
-		v, err := b.Col(g)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	ids, err := h.tbl.resolve(b)
+	if err != nil {
+		return err
 	}
-	vals := make([]storage.Vector, len(h.specs))
-	for i, sp := range h.specs {
-		if sp.Expr == nil {
-			continue
-		}
-		v, err := sp.Expr.Eval(b)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	var keyBuf strings.Builder
-	for row := 0; row < b.Len(); row++ {
-		key, keyVals := groupKeyAt(keyVecs, row, &keyBuf)
-		st := h.groups[key]
-		if st == nil {
-			st = newAggState(keyVals, len(h.specs))
-			h.groups[key] = st
-		}
-		for i, sp := range h.specs {
-			var x float64
-			if sp.Expr != nil {
-				x = asFloat(vals[i], row)
+	h.scratch.reset()
+	for i, sp := range h.tbl.specs {
+		acc := &h.tbl.accs[i]
+		var o operand
+		if sp.Expr != nil {
+			if o, err = operandOf(sp.Expr, b, &h.scratch); err != nil {
+				return err
 			}
-			st.counts[i]++
-			st.sums[i] += x
-			if x < st.mins[i] {
-				st.mins[i] = x
+		}
+		switch {
+		case sp.Func == Count:
+			countRows(acc.counts, ids)
+		case o.konst:
+			xs := h.scratch.vector(storage.Float64, len(ids)).F64
+			c := o.float()
+			for r := range xs {
+				xs[r] = c
 			}
-			if x > st.maxs[i] {
-				st.maxs[i] = x
-			}
-			st.seen[i] = true
+			fold(acc, sp.Func, ids, xs)
+		case o.typ == storage.Float64:
+			fold(acc, sp.Func, ids, o.vec.F64)
+		default:
+			fold(acc, sp.Func, ids, o.vec.I64)
 		}
 	}
 	return nil
+}
+
+// fold accumulates one aggregate's input column, converting each value to
+// float64 as it is read.
+func fold[T number](acc *aggAcc, f AggFunc, ids []int32, xs []T) {
+	switch f {
+	case Sum:
+		addTo(acc.sums, ids, xs)
+	case Avg:
+		addTo(acc.sums, ids, xs)
+		countRows(acc.counts, ids)
+	case Min:
+		minOf(acc.mins, ids, xs)
+	case Max:
+		maxOf(acc.maxs, ids, xs)
+	}
 }
 
 // Finish implements Operator: emits one row per group, ordered by key. In
@@ -205,111 +191,7 @@ func (h *HashAgg) Finish() error {
 	}
 	h.done = true
 	if h.partial {
-		return emitPartialState(h.groups, h.specs, h.outSchema, h.batchRows, h.emit)
+		return h.tbl.emitPartialState(h.outSchema, h.batchRows, h.emit)
 	}
-	return emitFinalRows(h.groups, h.groupBy, h.specs, h.outSchema, h.batchRows, h.emit)
-}
-
-// groupKeyAt renders the group key of one row: the canonical string used as
-// the hash key plus the key values in group-by order.
-func groupKeyAt(keyVecs []storage.Vector, row int, buf *strings.Builder) (string, []any) {
-	buf.Reset()
-	keyVals := make([]any, len(keyVecs))
-	for i, v := range keyVecs {
-		switch v.Type {
-		case storage.Int64, storage.Date:
-			fmt.Fprintf(buf, "i%d|", v.I64[row])
-			keyVals[i] = v.I64[row]
-		case storage.Float64:
-			fmt.Fprintf(buf, "f%g|", v.F64[row])
-			keyVals[i] = v.F64[row]
-		case storage.String:
-			fmt.Fprintf(buf, "s%q|", v.Str[row])
-			keyVals[i] = v.Str[row]
-		}
-	}
-	return buf.String(), keyVals
-}
-
-// newAggState allocates accumulator state for one group of n aggregates.
-func newAggState(keyVals []any, n int) *aggState {
-	st := &aggState{
-		keyVals: keyVals,
-		sums:    make([]float64, n),
-		counts:  make([]int64, n),
-		mins:    make([]float64, n),
-		maxs:    make([]float64, n),
-		seen:    make([]bool, n),
-	}
-	for i := range st.mins {
-		st.mins[i] = math.Inf(1)
-		st.maxs[i] = math.Inf(-1)
-	}
-	return st
-}
-
-// sortedGroupKeys returns the group hash keys in deterministic order.
-func sortedGroupKeys(groups map[string]*aggState) []string {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// emitFinalRows streams final aggregate rows, one per group ordered by key,
-// synthesizing the single zero row a global aggregate owes over empty input.
-// Shared by HashAgg and MergeHashAgg so serial and partial+merge execution
-// emit identical results.
-func emitFinalRows(groups map[string]*aggState, groupBy []string, specs []AggSpec, outSchema storage.Schema, batchRows int, emit Emit) error {
-	if len(groupBy) == 0 && len(groups) == 0 {
-		// Global aggregate over empty input: one row of zeros (unseen
-		// min/max render as 0 via zeroIfUnseen).
-		groups[""] = newAggState(nil, len(specs))
-	}
-	out := storage.NewBatch(outSchema, batchRows)
-	for _, k := range sortedGroupKeys(groups) {
-		st := groups[k]
-		row := make([]any, 0, outSchema.Arity())
-		row = append(row, st.keyVals...)
-		for i, sp := range specs {
-			switch sp.Func {
-			case Sum:
-				row = append(row, st.sums[i])
-			case Count:
-				row = append(row, st.counts[i])
-			case Avg:
-				if st.counts[i] == 0 {
-					row = append(row, 0.0)
-				} else {
-					row = append(row, st.sums[i]/float64(st.counts[i]))
-				}
-			case Min:
-				row = append(row, zeroIfUnseen(st.mins[i], st.seen[i]))
-			case Max:
-				row = append(row, zeroIfUnseen(st.maxs[i], st.seen[i]))
-			}
-		}
-		if err := out.AppendRow(row...); err != nil {
-			return err
-		}
-		if out.Len() >= batchRows {
-			if err := emit(out); err != nil {
-				return err
-			}
-			out = storage.NewBatch(outSchema, batchRows)
-		}
-	}
-	if out.Len() > 0 {
-		return emit(out)
-	}
-	return nil
-}
-
-func zeroIfUnseen(v float64, seen bool) float64 {
-	if !seen {
-		return 0
-	}
-	return v
+	return h.tbl.emitFinalRows(h.outSchema, h.batchRows, h.emit)
 }

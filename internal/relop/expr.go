@@ -1,11 +1,3 @@
-// Package relop implements the relational operator kernels the staged engine
-// executes: predicate scans, projections, hash aggregation, sorting,
-// nested-loop / hash / merge joins, all operating on column-major tuple
-// batches (storage.Batch) in a push-based pipeline.
-//
-// Operators receive input batches via Push and emit output batches through a
-// caller-supplied emit callback, which is how the staged engine routes pages
-// between stages and how the pivot fan-outs output to multiple sharers.
 package relop
 
 import (
@@ -157,46 +149,16 @@ func (a Arith) Type(s storage.Schema) (storage.Type, error) {
 	return storage.Int64, nil
 }
 
-// Eval implements Expr.
+// Eval implements Expr. The returned vector is freshly allocated and owned by
+// the caller; operators evaluate through operandOf instead, which draws
+// intermediates from their own scratch.
 func (a Arith) Eval(b *storage.Batch) (storage.Vector, error) {
-	lv, err := a.L.Eval(b)
-	if err != nil {
-		return storage.Vector{}, err
-	}
-	rv, err := a.R.Eval(b)
-	if err != nil {
-		return storage.Vector{}, err
-	}
-	if lv.Type == storage.String || rv.Type == storage.String {
-		return storage.Vector{}, fmt.Errorf("%w: arithmetic on string", ErrType)
-	}
-	n := b.Len()
-	// Promote to float if either side is float.
-	if lv.Type == storage.Float64 || rv.Type == storage.Float64 {
-		out := storage.NewVector(storage.Float64, n)
-		for i := 0; i < n; i++ {
-			x, y := asFloat(lv, i), asFloat(rv, i)
-			out.AppendFloat(applyFloat(a.Op, x, y))
-		}
-		return out, nil
-	}
-	out := storage.NewVector(storage.Int64, n)
-	for i := 0; i < n; i++ {
-		out.AppendInt(applyInt(a.Op, lv.I64[i], rv.I64[i]))
-	}
-	return out, nil
+	return evalOwned(a, b, nil)
 }
 
 // String implements Expr.
 func (a Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
-}
-
-func asFloat(v storage.Vector, i int) float64 {
-	if v.Type == storage.Float64 {
-		return v.F64[i]
-	}
-	return float64(v.I64[i])
 }
 
 func applyFloat(op ArithOp, x, y float64) float64 {
@@ -283,146 +245,134 @@ type Cmp struct {
 	L, R Expr
 }
 
-// Filter implements Pred.
+// Filter implements Pred. Operands evaluate to a column, a computed vector or
+// a scalar literal (never materialized), and the operator resolves to a
+// comparison once per page; the row loop touches typed slices only.
 func (c Cmp) Filter(b *storage.Batch, sel []int) ([]int, error) {
-	if out, ok, err := c.fastFilter(b, sel); ok {
-		return out, err
-	}
-	lv, err := c.L.Eval(b)
+	l, err := operandOf(c.L, b, nil)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := c.R.Eval(b)
+	r, err := operandOf(c.R, b, nil)
+	if err != nil {
+		return nil, err
+	}
+	if (l.typ == storage.String) != (r.typ == storage.String) {
+		return nil, fmt.Errorf("%w: comparing %v to %v", ErrType, l.typ, r.typ)
+	}
+	m, err := resolveCmp(c.Op)
 	if err != nil {
 		return nil, err
 	}
 	sel = allRows(b, sel)
-	out := sel[:0]
-	for _, i := range sel {
-		ok, err := cmpAt(c.Op, lv, rv, i)
-		if err != nil {
-			return nil, err
+	switch {
+	case l.typ == storage.String:
+		return filterStrings(m, l.vec.Str, r.vec.Str, sel), nil
+	case l.konst && r.konst:
+		if !m.holds(l.float(), r.float()) {
+			sel = sel[:0]
 		}
-		if ok {
-			out = append(out, i)
-		}
+		return sel, nil
+	case l.konst:
+		// literal ⊕ column: mirror into column ⊕ literal.
+		l, r, m = r, l, m.mirror()
 	}
-	return out, nil
+	switch {
+	case r.konst && l.typ == storage.Float64:
+		return filterVecConst(m, l.vec.F64, r.float(), sel), nil
+	case r.konst:
+		return filterVecConst(m, l.vec.I64, r.float(), sel), nil
+	case l.typ == storage.Float64 && r.typ == storage.Float64:
+		return filterVecVec(m, l.vec.F64, r.vec.F64, sel), nil
+	case l.typ == storage.Float64:
+		return filterVecVec(m, l.vec.F64, r.vec.I64, sel), nil
+	case r.typ == storage.Float64:
+		return filterVecVec(m, l.vec.I64, r.vec.F64, sel), nil
+	default:
+		return filterVecVec(m, l.vec.I64, r.vec.I64, sel), nil
+	}
 }
 
-// fastFilter handles the dominant predicate shapes — column vs literal and
-// column vs column — without Eval: literals stay scalar instead of being
-// materialized into a constant vector per page. ok=false falls back to the
-// general path. Comparison semantics match cmpAt exactly (numeric operands
-// compare as float64).
-func (c Cmp) fastFilter(b *storage.Batch, sel []int) ([]int, bool, error) {
-	lc, isCol := c.L.(ColRef)
-	if !isCol {
-		return nil, false, nil
-	}
-	lv, err := b.Col(lc.Name)
-	if err != nil {
-		return nil, true, err
-	}
-	switch r := c.R.(type) {
-	case ConstInt:
-		if lv.Type == storage.String {
-			return nil, true, fmt.Errorf("%w: comparing %v to %v", ErrType, lv.Type, storage.Int64)
-		}
-		out, err := filterScalar(c.Op, lv, float64(r.V), b, sel)
-		return out, true, err
-	case ConstFloat:
-		if lv.Type == storage.String {
-			return nil, true, fmt.Errorf("%w: comparing %v to %v", ErrType, lv.Type, storage.Float64)
-		}
-		out, err := filterScalar(c.Op, lv, r.V, b, sel)
-		return out, true, err
-	case ColRef:
-		rv, err := b.Col(r.Name)
-		if err != nil {
-			return nil, true, err
-		}
-		sel = allRows(b, sel)
-		out := sel[:0]
-		for _, i := range sel {
-			ok, err := cmpAt(c.Op, lv, rv, i)
-			if err != nil {
-				return nil, true, err
-			}
-			if ok {
-				out = append(out, i)
-			}
-		}
-		return out, true, nil
-	}
-	return nil, false, nil
-}
+// cmpMask is a CmpOp resolved to its verdict on each outcome of a three-way
+// comparison. Numeric operands compare as float64 and an unordered pair (a
+// NaN on either side) counts as equal, so the mask is total.
+type cmpMask struct{ lt, eq, gt bool }
 
-// filterScalar filters a numeric column against a scalar literal.
-func filterScalar(op CmpOp, lv storage.Vector, y float64, b *storage.Batch, sel []int) ([]int, error) {
-	sel = allRows(b, sel)
-	out := sel[:0]
-	for _, i := range sel {
-		x := asFloat(lv, i)
-		var ord int
-		switch {
-		case x < y:
-			ord = -1
-		case x > y:
-			ord = 1
-		}
-		ok, err := ordMatches(op, ord)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-// ordMatches translates a three-way comparison into the operator's verdict.
-func ordMatches(op CmpOp, ord int) (bool, error) {
+func resolveCmp(op CmpOp) (cmpMask, error) {
 	switch op {
 	case Eq:
-		return ord == 0, nil
+		return cmpMask{eq: true}, nil
 	case Ne:
-		return ord != 0, nil
+		return cmpMask{lt: true, gt: true}, nil
 	case Lt:
-		return ord < 0, nil
+		return cmpMask{lt: true}, nil
 	case Le:
-		return ord <= 0, nil
+		return cmpMask{lt: true, eq: true}, nil
 	case Gt:
-		return ord > 0, nil
+		return cmpMask{gt: true}, nil
 	case Ge:
-		return ord >= 0, nil
+		return cmpMask{eq: true, gt: true}, nil
 	default:
-		return false, fmt.Errorf("%w: unknown comparison %d", ErrType, int(op))
+		return cmpMask{}, fmt.Errorf("%w: unknown comparison %d", ErrType, int(op))
 	}
+}
+
+// mirror returns the mask of the comparison with its operands swapped.
+func (m cmpMask) mirror() cmpMask { return cmpMask{lt: m.gt, eq: m.eq, gt: m.lt} }
+
+func (m cmpMask) holds(x, y float64) bool {
+	switch {
+	case x < y:
+		return m.lt
+	case x > y:
+		return m.gt
+	default:
+		return m.eq
+	}
+}
+
+// number is the element type of a numeric column payload.
+type number interface{ int64 | float64 }
+
+// filterVecConst keeps the rows of sel whose column value stands in relation
+// m to the literal y, compacting sel in place.
+func filterVecConst[T number](m cmpMask, xs []T, y float64, sel []int) []int {
+	n := 0
+	for _, i := range sel {
+		if m.holds(float64(xs[i]), y) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// filterVecVec is filterVecConst for two columns.
+func filterVecVec[T, U number](m cmpMask, xs []T, ys []U, sel []int) []int {
+	n := 0
+	for _, i := range sel {
+		if m.holds(float64(xs[i]), float64(ys[i])) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+func filterStrings(m cmpMask, xs, ys []string, sel []int) []int {
+	n := 0
+	for _, i := range sel {
+		ord := strings.Compare(xs[i], ys[i])
+		if (ord < 0 && m.lt) || (ord == 0 && m.eq) || (ord > 0 && m.gt) {
+			sel[n] = i
+			n++
+		}
+	}
+	return sel[:n]
 }
 
 // String implements Pred.
 func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-
-func cmpAt(op CmpOp, lv, rv storage.Vector, i int) (bool, error) {
-	var ord int
-	switch {
-	case lv.Type == storage.String && rv.Type == storage.String:
-		ord = strings.Compare(lv.Str[i], rv.Str[i])
-	case lv.Type != storage.String && rv.Type != storage.String:
-		x, y := asFloat(lv, i), asFloat(rv, i)
-		switch {
-		case x < y:
-			ord = -1
-		case x > y:
-			ord = 1
-		}
-	default:
-		return false, fmt.Errorf("%w: comparing %v to %v", ErrType, lv.Type, rv.Type)
-	}
-	return ordMatches(op, ord)
-}
 
 // And is predicate conjunction with short-circuit filtering.
 type And struct {

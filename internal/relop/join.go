@@ -46,12 +46,19 @@ func (k JoinKind) String() string {
 // participates in the refcounted shared-page protocol (storage.Batch
 // MarkShared/Release) so probers account for their claims like any fan-out
 // consumer.
+//
+// The index is flat: keys maps each distinct key to a dense key id, and
+// rowIDs[offsets[id]:offsets[id+1]] lists that key's build rows in insertion
+// order (compressed sparse rows, filled by a stable counting pass at seal).
 type HashTable struct {
-	schema storage.Schema
-	key    string
-	keyIdx int
-	rows   *storage.Batch
-	index  map[int64][]int
+	schema    storage.Schema
+	key       string
+	keyIdx    int
+	rows      *storage.Batch
+	keys      *intTable
+	offsets   []int32
+	rowIDs    []int
+	footprint int64
 }
 
 // Schema returns the build-side schema.
@@ -67,27 +74,28 @@ func (t *HashTable) Rows() *storage.Batch { return t.rows }
 func (t *HashTable) Len() int { return t.rows.Len() }
 
 // FootprintBytes approximates the resident size of the sealed table: the
-// materialized build rows plus the key index (one bucket header and one
-// 8-byte row reference per indexed row). The keep-alive cache charges this
-// against its byte budget when deciding whether retaining the table beats
-// rebuilding it.
-func (t *HashTable) FootprintBytes() int64 {
-	bytes := int64(t.rows.EstimatedBytes())
-	for _, rows := range t.index {
-		bytes += 16 + 8*int64(len(rows))
-	}
-	return bytes
-}
+// materialized build rows plus the key index (16 bytes per distinct key and
+// one 8-byte row reference per indexed row). The keep-alive cache charges
+// this against its byte budget when deciding whether retaining the table
+// beats rebuilding it. Computed once, at seal.
+func (t *HashTable) FootprintBytes() int64 { return t.footprint }
 
-// Matches returns the build-row indices matching k (nil when none).
-func (t *HashTable) Matches(k int64) []int { return t.index[k] }
+// Matches returns the build-row indices matching k, in insertion order (nil
+// when none). The slice aliases the index: read-only.
+func (t *HashTable) Matches(k int64) []int {
+	id := t.keys.find(k)
+	if id < 0 {
+		return nil
+	}
+	return t.rowIDs[t.offsets[id]:t.offsets[id+1]]
+}
 
 // MatchCounts returns, for each key in probeKeys, how many build rows match.
 // Q13 uses this to count orders per customer including zero counts.
 func (t *HashTable) MatchCounts(probeKeys []int64) []int64 {
 	out := make([]int64, len(probeKeys))
 	for i, k := range probeKeys {
-		out[i] = int64(len(t.index[k]))
+		out[i] = int64(len(t.Matches(k)))
 	}
 	return out
 }
@@ -96,8 +104,11 @@ func (t *HashTable) MatchCounts(probeKeys []int64) []int64 {
 // engine can run one build for a whole group of join queries: Push every
 // build-side batch, Finish, then hand Table to each prober.
 type JoinBuild struct {
-	tbl  *HashTable
-	done bool
+	tbl *HashTable
+	// rowKey is each pushed row's dense key id; Finish turns it (with the
+	// per-key counts accumulating in tbl.offsets) into the table's index.
+	rowKey []int32
+	done   bool
 }
 
 // NewJoinBuild constructs a build over the given schema keyed on buildKey.
@@ -105,11 +116,15 @@ func NewJoinBuild(build storage.Schema, buildKey string) (*JoinBuild, error) {
 	return NewJoinBuildSized(build, buildKey, 0)
 }
 
-// NewJoinBuildSized is NewJoinBuild with a row-count hint: the row buffer and
-// the key index are pre-sized to the estimated build cardinality, so a build
-// whose model guessed right never rehashes or regrows mid-build. The hint is
-// advisory — zero (or a wrong estimate) only costs the usual incremental
-// growth, never correctness.
+// NewJoinBuildSized is NewJoinBuild with a row-count hint: everything that
+// holds one entry per build row — the row storage and the rows' key ids — is
+// pre-sized to the estimated build cardinality, so a build whose model guessed
+// right never regrows it mid-build. What holds one entry per distinct key (the
+// key table and the offsets) grows on demand instead: a row count says nothing
+// about how many keys repeat, and a table sized for rows that turn out to
+// share keys stays resident, mostly empty, for as long as the table is cached.
+// The hint is advisory — zero (or a wrong estimate) only costs the usual
+// incremental growth, never correctness.
 func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBuild, error) {
 	bi, err := build.Index(buildKey)
 	if err != nil {
@@ -121,43 +136,69 @@ func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBu
 	if hint < 0 {
 		hint = 0
 	}
-	return &JoinBuild{tbl: &HashTable{
-		schema: build,
-		key:    buildKey,
-		keyIdx: bi,
-		rows:   storage.NewBatch(build, hint),
-		index:  make(map[int64][]int, hint),
-	}}, nil
+	return &JoinBuild{
+		tbl: &HashTable{
+			schema:  build,
+			key:     buildKey,
+			keyIdx:  bi,
+			rows:    storage.NewBatch(build, hint),
+			keys:    newIntTable(0),
+			offsets: make([]int32, 2),
+		},
+		rowKey: make([]int32, 0, hint),
+	}, nil
 }
 
 // OutSchema implements Operator (the build "emits" nothing; the schema is
 // the build side's, for fan-in adapters).
 func (jb *JoinBuild) OutSchema() storage.Schema { return jb.tbl.schema }
 
-// Push implements Operator: hashes one build-side batch into the table.
+// Push implements Operator: appends one build-side batch column by column
+// and resolves its keys to dense ids.
 func (jb *JoinBuild) Push(b *storage.Batch) error {
 	if jb.done {
 		return ErrFinished
 	}
-	keys, err := b.Col(jb.tbl.key)
+	ki, err := b.Schema.Index(jb.tbl.key)
 	if err != nil {
 		return err
 	}
-	base := jb.tbl.rows.Len()
-	for i := 0; i < b.Len(); i++ {
-		jb.tbl.rows.AppendBatchRow(b, i)
-		k := keys.I64[i]
-		jb.tbl.index[k] = append(jb.tbl.index[k], base+i)
+	t := jb.tbl
+	t.rows.AppendBatch(b)
+	// Until Finish, offsets[id+2] counts the rows of key id.
+	for _, k := range b.Vecs[ki].I64 {
+		id, added := t.keys.findOrAdd(k)
+		if added {
+			t.offsets = append(t.offsets, 0)
+		}
+		t.offsets[id+2]++
+		jb.rowKey = append(jb.rowKey, id)
 	}
 	return nil
 }
 
-// Finish implements Operator: seals the table.
+// Finish implements Operator: seals the table. A counting pass over the
+// rows' key ids lays every key's rows out contiguously, in insertion order.
 func (jb *JoinBuild) Finish() error {
 	if jb.done {
 		return ErrFinished
 	}
 	jb.done = true
+	t := jb.tbl
+	// The running sum leaves key id's start position in offsets[id+1]; the
+	// scatter advances it to the key's end, which is where offsets[id+1]
+	// belongs: the start of key id+1.
+	for i := 1; i < len(t.offsets); i++ {
+		t.offsets[i] += t.offsets[i-1]
+	}
+	t.rowIDs = make([]int, len(jb.rowKey))
+	for row, id := range jb.rowKey {
+		t.rowIDs[t.offsets[id+1]] = row
+		t.offsets[id+1]++
+	}
+	t.offsets = t.offsets[:len(t.offsets)-1]
+	jb.rowKey = nil
+	t.footprint = int64(t.rows.EstimatedBytes()) + 16*int64(t.keys.Len()) + 8*int64(len(t.rowIDs))
 	return nil
 }
 
@@ -191,6 +232,10 @@ type HashJoinProbe struct {
 	buildCols   []int // indices of emitted build columns
 	tbl         *HashTable
 	emit        Emit
+	// ids and counts hold, per probe row of the current page, the dense id
+	// of its key (-1: no match) and the number of output rows it produces;
+	// both are reused across pages.
+	ids, counts []int32
 	done        bool
 }
 
@@ -257,7 +302,9 @@ func (h *HashJoinProbe) AttachTable(t *HashTable) error {
 // Attached reports whether a table has been attached.
 func (h *HashJoinProbe) Attached() bool { return h.tbl != nil }
 
-// Push implements Operator: probes one batch.
+// Push implements Operator: probes one batch. The key loop only resolves
+// each probe row to its key id and output row count, so the output columns
+// are allocated at their final size and filled one column at a time.
 func (h *HashJoinProbe) Push(b *storage.Batch) error {
 	if h.done {
 		return ErrFinished
@@ -265,43 +312,92 @@ func (h *HashJoinProbe) Push(b *storage.Batch) error {
 	if h.tbl == nil {
 		return fmt.Errorf("relop: probe before AttachTable")
 	}
-	keys, err := b.Col(h.probeKey)
+	ki, err := b.Schema.Index(h.probeKey)
 	if err != nil {
 		return err
 	}
-	out := storage.NewBatch(h.outSchema, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		matches := h.tbl.index[keys.I64[i]]
-		switch h.kind {
-		case Semi:
-			if len(matches) > 0 {
-				appendProbeRow(out, b, i)
-			}
-		case Anti:
-			if len(matches) == 0 {
-				appendProbeRow(out, b, i)
-			}
-		case Inner:
-			for _, m := range matches {
-				appendProbeRow(out, b, i)
-				h.appendBuildRow(out, len(b.Schema.Cols), m)
-			}
-		case LeftOuter:
-			if len(matches) == 0 {
-				appendProbeRow(out, b, i)
-				h.appendNullBuildRow(out, len(b.Schema.Cols))
-				continue
-			}
-			for _, m := range matches {
-				appendProbeRow(out, b, i)
-				h.appendBuildRow(out, len(b.Schema.Cols), m)
-			}
-		}
+	t := h.tbl
+	keys := b.Vecs[ki].I64
+	if cap(h.ids) < len(keys) {
+		h.ids, h.counts = make([]int32, len(keys)), make([]int32, len(keys))
 	}
-	if out.Len() == 0 {
+	ids, counts := h.ids[:len(keys)], h.counts[:len(keys)]
+	total := 0
+	for i, k := range keys {
+		id := t.keys.find(k)
+		var n int32
+		switch {
+		case id >= 0 && h.kind == Semi, id < 0 && (h.kind == Anti || h.kind == LeftOuter):
+			n = 1
+		case id >= 0 && h.kind != Anti:
+			n = t.offsets[id+1] - t.offsets[id]
+		}
+		ids[i], counts[i] = id, n
+		total += int(n)
+	}
+	if total == 0 {
 		return nil
 	}
+	out := &storage.Batch{Schema: h.outSchema, Vecs: make([]storage.Vector, len(h.outSchema.Cols))}
+	nProbe := len(h.probeSchema.Cols)
+	for c := 0; c < nProbe; c++ {
+		src, dst := &b.Vecs[c], &out.Vecs[c]
+		dst.Type = h.outSchema.Cols[c].Type
+		switch dst.Type {
+		case storage.Int64, storage.Date:
+			dst.I64 = repeatEach(src.I64, counts, total)
+		case storage.Float64:
+			dst.F64 = repeatEach(src.F64, counts, total)
+		case storage.String:
+			dst.Str = repeatEach(src.Str, counts, total)
+		}
+	}
+	for j, ci := range h.buildCols {
+		src, dst := &t.rows.Vecs[ci], &out.Vecs[nProbe+j]
+		dst.Type = h.outSchema.Cols[nProbe+j].Type
+		switch dst.Type {
+		case storage.Int64, storage.Date:
+			dst.I64 = gatherRuns(t, src.I64, ids, counts, total)
+		case storage.Float64:
+			dst.F64 = gatherRuns(t, src.F64, ids, counts, total)
+		case storage.String:
+			dst.Str = gatherRuns(t, src.Str, ids, counts, total)
+		}
+	}
 	return h.emit(out)
+}
+
+// repeatEach returns src[i] counts[i] times over, for every i in order.
+func repeatEach[T any](src []T, counts []int32, total int) []T {
+	out := make([]T, total)
+	j := 0
+	for i, n := range counts {
+		for ; n > 0; n-- {
+			out[j] = src[i]
+			j++
+		}
+	}
+	return out
+}
+
+// gatherRuns lays out, for every probe row in order, the src values of the
+// build rows its key id matches (in insertion order). A row without a match
+// contributes counts[i] zero values: one for a left-outer miss, none
+// otherwise.
+func gatherRuns[T any](t *HashTable, src []T, ids, counts []int32, total int) []T {
+	out := make([]T, total)
+	j := 0
+	for i, id := range ids {
+		if id < 0 {
+			j += int(counts[i])
+			continue
+		}
+		for _, row := range t.rowIDs[t.offsets[id]:t.offsets[id+1]] {
+			out[j] = src[row]
+			j++
+		}
+	}
+	return out
 }
 
 // Finish implements Operator.
@@ -380,31 +476,6 @@ type buildSide struct{ h *HashJoin }
 func (b *buildSide) OutSchema() storage.Schema   { return b.h.build.tbl.schema }
 func (b *buildSide) Push(x *storage.Batch) error { return b.h.PushBuild(x) }
 func (b *buildSide) Finish() error               { return b.h.FinishBuild() }
-
-func appendProbeRow(out *storage.Batch, probe *storage.Batch, row int) {
-	for c := range probe.Vecs {
-		out.Vecs[c].AppendFrom(probe.Vecs[c], row)
-	}
-}
-
-func (h *HashJoinProbe) appendBuildRow(out *storage.Batch, offset, row int) {
-	for j, ci := range h.buildCols {
-		out.Vecs[offset+j].AppendFrom(h.tbl.rows.Vecs[ci], row)
-	}
-}
-
-func (h *HashJoinProbe) appendNullBuildRow(out *storage.Batch, offset int) {
-	for j, ci := range h.buildCols {
-		switch h.buildSchema.Cols[ci].Type {
-		case storage.Int64, storage.Date:
-			out.Vecs[offset+j].AppendInt(0)
-		case storage.Float64:
-			out.Vecs[offset+j].AppendFloat(0)
-		case storage.String:
-			out.Vecs[offset+j].AppendString("")
-		}
-	}
-}
 
 // MatchCounts returns, for each key in probeKeys, how many build rows match
 // (valid after FinishBuild).

@@ -1,0 +1,200 @@
+package relop
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// Microbenchmarks of the per-row kernels, shaped like the TPC-H plans the
+// engine runs and paged like the engine pages them (one default-size page
+// per Push). Run with -benchmem: allocs/op is per pass over all pages.
+
+const kernelBenchRows = 60000 // about lineitem at the benchmark's scale factor
+
+// benchPages cuts rows generated by gen into default-size pages of schema.
+func benchPages(b *testing.B, schema storage.Schema, rows int, gen func(r int) []any) []*storage.Batch {
+	b.Helper()
+	per := storage.RowsPerPage(schema, storage.DefaultPageSize)
+	var pages []*storage.Batch
+	for r := 0; r < rows; r++ {
+		if r%per == 0 {
+			pages = append(pages, storage.NewBatch(schema, per))
+		}
+		if err := pages[len(pages)-1].AppendRow(gen(r)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return pages
+}
+
+func q1Expr() (discPrice, charge Expr) {
+	discPrice = Arith{Op: Mul, L: Col("extprice"), R: Arith{Op: Sub, L: ConstFloat{V: 1}, R: Col("disc")}}
+	charge = Arith{Op: Mul, L: discPrice, R: Arith{Op: Add, L: ConstFloat{V: 1}, R: Col("tax")}}
+	return discPrice, charge
+}
+
+func q1Pages(b *testing.B) (storage.Schema, []*storage.Batch) {
+	schema := storage.MustSchema(
+		storage.Column{Name: "flag", Type: storage.String},
+		storage.Column{Name: "status", Type: storage.String},
+		storage.Column{Name: "qty", Type: storage.Float64},
+		storage.Column{Name: "extprice", Type: storage.Float64},
+		storage.Column{Name: "disc", Type: storage.Float64},
+		storage.Column{Name: "tax", Type: storage.Float64},
+	)
+	rng := rand.New(rand.NewSource(1))
+	flags, statuses := []string{"A", "N", "R"}, []string{"F", "O"}
+	return schema, benchPages(b, schema, kernelBenchRows, func(int) []any {
+		return []any{flags[rng.Intn(3)], statuses[rng.Intn(2)], float64(1 + rng.Intn(50)), 900 + 1e5*rng.Float64(), float64(rng.Intn(11)) / 100, float64(rng.Intn(9)) / 100}
+	})
+}
+
+func BenchmarkHashAggPush(b *testing.B) {
+	discPrice, charge := q1Expr()
+	q1Schema, q1 := q1Pages(b)
+	custSchema := storage.MustSchema(
+		storage.Column{Name: "custkey", Type: storage.Int64},
+		storage.Column{Name: "one", Type: storage.Int64},
+	)
+	rng := rand.New(rand.NewSource(2))
+	cust := benchPages(b, custSchema, 15000, func(int) []any { return []any{int64(rng.Intn(1500)), int64(1)} })
+	for _, arm := range []struct {
+		name    string
+		schema  storage.Schema
+		pages   []*storage.Batch
+		groupBy []string
+		specs   []AggSpec
+	}{
+		{"q1-two-string-keys", q1Schema, q1, []string{"flag", "status"}, []AggSpec{
+			{Func: Sum, Expr: Col("qty"), As: "sum_qty"},
+			{Func: Sum, Expr: Col("extprice"), As: "sum_base_price"},
+			{Func: Sum, Expr: discPrice, As: "sum_disc_price"},
+			{Func: Sum, Expr: charge, As: "sum_charge"},
+			{Func: Avg, Expr: Col("qty"), As: "avg_qty"},
+			{Func: Avg, Expr: Col("extprice"), As: "avg_price"},
+			{Func: Avg, Expr: Col("disc"), As: "avg_disc"},
+			{Func: Count, As: "count_order"},
+		}},
+		{"q13-1500-int-groups", custSchema, cust, []string{"custkey"}, []AggSpec{{Func: Sum, Expr: Col("one"), As: "c_count"}}},
+		{"q6-global", q1Schema, q1, nil, []AggSpec{{Func: Sum, Expr: Arith{Op: Mul, L: Col("extprice"), R: Col("disc")}, As: "revenue"}}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			rows := 0
+			for _, p := range arm.pages {
+				rows += p.Len()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				agg, err := NewHashAgg(arm.schema, arm.groupBy, arm.specs, func(*storage.Batch) error { return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range arm.pages {
+					if err := agg.Push(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := agg.Finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkArithEval evaluates Q1's charge, extprice*(1-disc)*(1+tax), the
+// way an operator does: intermediates in scratch that is reused across pages.
+func BenchmarkArithEval(b *testing.B) {
+	_, charge := q1Expr()
+	_, pages := q1Pages(b)
+	var sc exprScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pages {
+			sc.reset()
+			if _, err := operandOf(charge, p, &sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*kernelBenchRows), "ns/row")
+}
+
+// q4JoinPages is Q4's join: ~38k late lineitems' order keys (about 2.8 per
+// order) on the build side, 15k orders on the probe side.
+func q4JoinPages(b *testing.B) (build, probe storage.Schema, buildPages, probePages []*storage.Batch) {
+	build = storage.MustSchema(storage.Column{Name: "l_orderkey", Type: storage.Int64})
+	probe = storage.MustSchema(
+		storage.Column{Name: "o_orderkey", Type: storage.Int64},
+		storage.Column{Name: "o_orderpriority", Type: storage.String},
+	)
+	rng := rand.New(rand.NewSource(3))
+	prios := []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}
+	buildPages = benchPages(b, build, 38000, func(int) []any { return []any{int64(rng.Intn(13500)) * 4} })
+	probePages = benchPages(b, probe, 15000, func(r int) []any { return []any{int64(r) * 4, prios[rng.Intn(5)]} })
+	return build, probe, buildPages, probePages
+}
+
+func benchJoinBuild(b *testing.B, schema storage.Schema, pages []*storage.Batch, hint int) *HashTable {
+	jb, err := NewJoinBuildSized(schema, "l_orderkey", hint)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range pages {
+		if err := jb.Push(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := jb.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	return jb.Table()
+}
+
+func BenchmarkJoinBuild(b *testing.B) {
+	schema, _, pages, _ := q4JoinPages(b)
+	for _, arm := range []struct {
+		name string
+		hint int
+	}{{"unsized", 0}, {"sized", 38000}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchJoinBuild(b, schema, pages, arm.hint)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*38000), "ns/row")
+		})
+	}
+}
+
+func BenchmarkJoinProbe(b *testing.B) {
+	build, probe, buildPages, probePages := q4JoinPages(b)
+	tbl := benchJoinBuild(b, build, buildPages, 0)
+	for _, kind := range []JoinKind{Semi, Inner} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pr, err := NewHashJoinProbe(kind, build, "l_orderkey", probe, "o_orderkey", func(*storage.Batch) error { return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := pr.AttachTable(tbl); err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range probePages {
+					if err := pr.Push(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := pr.Finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*15000), "ns/row")
+		})
+	}
+}

@@ -205,6 +205,7 @@ type Project struct {
 	cols      []ProjectCol
 	outSchema storage.Schema
 	emit      Emit
+	scratch   exprScratch // intermediates only; emitted vectors are fresh
 	done      bool
 }
 
@@ -234,9 +235,10 @@ func (p *Project) Push(b *storage.Batch) error {
 	if p.done {
 		return ErrFinished
 	}
+	p.scratch.reset()
 	out := &storage.Batch{Schema: p.outSchema, Vecs: make([]storage.Vector, len(p.cols))}
 	for i, c := range p.cols {
-		v, err := c.Expr.Eval(b)
+		v, err := evalOwned(c.Expr, b, &p.scratch)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package relop
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/storage"
 )
@@ -70,40 +69,25 @@ func NewPartialHashAgg(in storage.Schema, groupBy []string, specs []AggSpec, emi
 }
 
 // emitPartialState streams raw accumulator rows in PartialAggSchema order.
-func emitPartialState(groups map[string]*aggState, specs []AggSpec, outSchema storage.Schema, batchRows int, emit Emit) error {
-	out := storage.NewBatch(outSchema, batchRows)
-	for _, k := range sortedGroupKeys(groups) {
-		st := groups[k]
-		row := make([]any, 0, outSchema.Arity())
-		row = append(row, st.keyVals...)
-		for i, sp := range specs {
+func (t *aggTable) emitPartialState(outSchema storage.Schema, batchRows int, emit Emit) error {
+	return t.emitPages(outSchema, batchRows, emit, func(vecs []storage.Vector, chunk []int) []storage.Vector {
+		for i, sp := range t.specs {
+			a := &t.accs[i]
 			switch sp.Func {
 			case Count:
-				row = append(row, st.counts[i])
+				vecs = append(vecs, gatherInts(a.counts, chunk))
 			case Sum:
-				row = append(row, st.sums[i])
+				vecs = append(vecs, gatherFloats(a.sums, chunk))
 			case Min:
-				row = append(row, st.mins[i])
+				vecs = append(vecs, gatherFloats(a.mins, chunk))
 			case Max:
-				row = append(row, st.maxs[i])
+				vecs = append(vecs, gatherFloats(a.maxs, chunk))
 			case Avg:
-				row = append(row, st.sums[i], st.counts[i])
+				vecs = append(vecs, gatherFloats(a.sums, chunk), gatherInts(a.counts, chunk))
 			}
 		}
-		if err := out.AppendRow(row...); err != nil {
-			return err
-		}
-		if out.Len() >= batchRows {
-			if err := emit(out); err != nil {
-				return err
-			}
-			out = storage.NewBatch(outSchema, batchRows)
-		}
-	}
-	if out.Len() > 0 {
-		return emit(out)
-	}
-	return nil
+		return vecs
+	})
 }
 
 // MergeHashAgg is the fan-in half of a partitioned aggregation: it consumes
@@ -112,11 +96,8 @@ func emitPartialState(groups map[string]*aggState, specs []AggSpec, outSchema st
 // final rows identical to one serial NewHashAgg over the whole input —
 // including the single zero row a global aggregate owes over empty input.
 type MergeHashAgg struct {
-	groupBy   []string
-	specs     []AggSpec
-	inSchema  storage.Schema // PartialAggSchema layout
 	outSchema storage.Schema // identical to NewHashAgg's
-	groups    map[string]*aggState
+	tbl       *aggTable
 	emit      Emit
 	batchRows int
 	done      bool
@@ -124,25 +105,18 @@ type MergeHashAgg struct {
 
 // NewMergeHashAgg builds the merge aggregate. in, groupBy, and specs are
 // the same arguments the serial (and partial) aggregate was built with; the
-// merge derives the partial input layout and the final output schema from
-// them.
+// merge reads the PartialAggSchema layout they imply and emits the serial
+// aggregate's output schema.
 func NewMergeHashAgg(in storage.Schema, groupBy []string, specs []AggSpec, emit Emit) (*MergeHashAgg, error) {
-	// The serial constructor performs all spec validation and derives the
-	// final output schema.
+	// The serial constructor performs all spec validation, derives the final
+	// output schema and builds the group table.
 	serial, err := NewHashAgg(in, groupBy, specs, nil)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := PartialAggSchema(in, groupBy, specs)
-	if err != nil {
-		return nil, err
-	}
 	return &MergeHashAgg{
-		groupBy:   groupBy,
-		specs:     specs,
-		inSchema:  ps,
 		outSchema: serial.outSchema,
-		groups:    make(map[string]*aggState),
+		tbl:       serial.tbl,
 		emit:      emit,
 		batchRows: serial.batchRows,
 	}, nil
@@ -159,57 +133,39 @@ func (m *MergeHashAgg) Push(b *storage.Batch) error {
 	if m.done {
 		return ErrFinished
 	}
-	keyVecs := make([]storage.Vector, len(m.groupBy))
-	for i, g := range m.groupBy {
-		v, err := b.Col(g)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
 	// State columns follow the key columns positionally: one per aggregate,
 	// two for Avg.
-	stateVecs := make([][]storage.Vector, len(m.specs))
-	ci := len(m.groupBy)
-	for i, sp := range m.specs {
-		width := 1
+	need := len(m.tbl.groupBy) + len(m.tbl.specs)
+	for _, sp := range m.tbl.specs {
 		if sp.Func == Avg {
-			width = 2
+			need++
 		}
-		if ci+width > len(b.Vecs) {
-			return fmt.Errorf("%w: partial batch has %d columns, need %d", ErrType, len(b.Vecs), ci+width)
-		}
-		stateVecs[i] = b.Vecs[ci : ci+width]
-		ci += width
 	}
-	var keyBuf strings.Builder
-	for row := 0; row < b.Len(); row++ {
-		key, keyVals := groupKeyAt(keyVecs, row, &keyBuf)
-		st := m.groups[key]
-		if st == nil {
-			st = newAggState(keyVals, len(m.specs))
-			m.groups[key] = st
-		}
-		for i, sp := range m.specs {
-			vs := stateVecs[i]
-			switch sp.Func {
-			case Count:
-				st.counts[i] += vs[0].I64[row]
-			case Sum:
-				st.sums[i] += vs[0].F64[row]
-			case Min:
-				if x := vs[0].F64[row]; x < st.mins[i] {
-					st.mins[i] = x
-				}
-			case Max:
-				if x := vs[0].F64[row]; x > st.maxs[i] {
-					st.maxs[i] = x
-				}
-			case Avg:
-				st.sums[i] += vs[0].F64[row]
-				st.counts[i] += vs[1].I64[row]
-			}
-			st.seen[i] = true
+	if need > len(b.Vecs) {
+		return fmt.Errorf("%w: partial batch has %d columns, need %d", ErrType, len(b.Vecs), need)
+	}
+	ids, err := m.tbl.resolve(b)
+	if err != nil {
+		return err
+	}
+	ci := len(m.tbl.groupBy)
+	for i, sp := range m.tbl.specs {
+		acc := &m.tbl.accs[i]
+		state := &b.Vecs[ci]
+		ci++
+		switch sp.Func {
+		case Count:
+			addTo(acc.counts, ids, state.I64)
+		case Sum:
+			addTo(acc.sums, ids, state.F64)
+		case Min:
+			minOf(acc.mins, ids, state.F64)
+		case Max:
+			maxOf(acc.maxs, ids, state.F64)
+		case Avg:
+			addTo(acc.sums, ids, state.F64)
+			addTo(acc.counts, ids, b.Vecs[ci].I64)
+			ci++
 		}
 	}
 	return nil
@@ -221,5 +177,5 @@ func (m *MergeHashAgg) Finish() error {
 		return ErrFinished
 	}
 	m.done = true
-	return emitFinalRows(m.groups, m.groupBy, m.specs, m.outSchema, m.batchRows, m.emit)
+	return m.tbl.emitFinalRows(m.outSchema, m.batchRows, m.emit)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -90,11 +91,23 @@ type Server struct {
 	metrics     *obs.Registry
 }
 
+// retentionGCPercent is the collector setting of a server that retains
+// artifacts (Engine.Cache set). Retention is a resident-memory budget the
+// operator chose; at Go's default of 100 the heap may reach twice its live
+// size before a collection, so a process whose live heap is its tables plus
+// what it retains (plus whatever an embedding program keeps per request)
+// would pay for all of that twice over in resident memory.
+const retentionGCPercent = 30
+
 // New builds a server and starts its engine. Close (or Shutdown) releases
-// it.
+// it. With Engine.Cache set it also tightens the process's collector to
+// retentionGCPercent, for as long as the process runs.
 func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("server: Config.DB is required")
+	}
+	if cfg.Engine.Cache != nil {
+		debug.SetGCPercent(retentionGCPercent)
 	}
 	var (
 		eng     *engine.Engine

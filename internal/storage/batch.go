@@ -15,9 +15,11 @@ type Batch struct {
 	// shared counts extra readers beyond the owner when the batch is fanned
 	// out read-only to several consumers (see MarkShared / Writable /
 	// Release); everShared records that the batch was fanned out at least
-	// once, so Writable can classify its zero-claim path as a move.
+	// once, so Writable can classify its zero-claim path as a move. It is
+	// atomic because a bus-shared build table is marked by every shard's
+	// probers, each under its own engine's lock only.
 	shared     atomic.Int32
-	everShared bool
+	everShared atomic.Bool
 	// poolable marks a batch whose column storage came from the page pool
 	// (GetPage); a last-owner Release returns it there. The CAS on this flag
 	// guarantees at-most-once recycling.

@@ -49,7 +49,7 @@ func ShareStats() (moves, copies, releases int64) {
 // that finishes without writing drops its claim through Release.
 func (b *Batch) MarkShared(n int) {
 	if n > 0 {
-		b.everShared = true
+		b.everShared.Store(true)
 		b.shared.Add(int32(n))
 	}
 }
@@ -67,7 +67,7 @@ func (b *Batch) Writable() *Batch {
 	for {
 		n := b.shared.Load()
 		if n <= 0 {
-			if b.everShared {
+			if b.everShared.Load() {
 				shareMoves.Add(1)
 			}
 			// The adopter keeps this storage beyond the pipeline (typically
@@ -101,7 +101,7 @@ func (b *Batch) Release() {
 	for {
 		n := b.shared.Load()
 		if n <= 0 {
-			if !b.everShared && b.poolable.CompareAndSwap(true, false) {
+			if !b.everShared.Load() && b.poolable.CompareAndSwap(true, false) {
 				b.recycle()
 			}
 			return
