@@ -50,8 +50,8 @@ type buildShare struct {
 	// share claims a reader mark (the owner's group holds the table's base
 	// ownership), so claim accounting stays balanced across engines.
 	foreign bool
-	// onSeal runs once when the build seals (the engine counts executed
-	// builds through it).
+	// onSeal runs once just before the build seals (the engine counts
+	// executed builds through it).
 	onSeal func()
 
 	mu      sync.Mutex
@@ -113,9 +113,22 @@ func (bs *buildShare) releaseProber() {
 	bs.state.Release()
 }
 
-// seal publishes the built table: marks the pre-seal probers' reader claims,
-// wakes every waiter, and registers the artifact with the exchange entry.
+// seal counts the build, then publishes the built table: marks the pre-seal
+// probers' reader claims, registers the artifact with the exchange entry,
+// and wakes every waiter. The count comes before any prober can see the
+// table, so a member's result never completes ahead of its build being
+// counted. Only the share's collector seals, so the check and the seal
+// cannot interleave with another seal.
 func (bs *buildShare) seal(tbl *relop.HashTable) {
+	bs.mu.Lock()
+	done := bs.sealed || bs.failed
+	bs.mu.Unlock()
+	if done {
+		return
+	}
+	if bs.onSeal != nil {
+		bs.onSeal()
+	}
 	bs.mu.Lock()
 	if bs.sealed || bs.failed {
 		bs.mu.Unlock()
@@ -128,14 +141,10 @@ func (bs *buildShare) seal(tbl *relop.HashTable) {
 	}
 	ready := bs.ready
 	bs.ready = nil
-	hook := bs.onSeal
 	bs.mu.Unlock()
 	bs.state.Seal(tbl)
 	for _, q := range ready {
 		q.Close()
-	}
-	if hook != nil {
-		hook()
 	}
 }
 
@@ -302,13 +311,17 @@ type probeAttachTask struct {
 	released bool
 }
 
-// retire closes the member's output and drops the prober reference once.
+// retire drops the prober reference once, then closes the member's output.
+// The release comes first so the last prober retires the build state, and
+// hands its table to the cache, before the member's result can complete:
+// a query submitted right after Wait returns finds the table cached. The
+// probe's output rows are fresh, so nothing downstream reads the table.
 func (pt *probeAttachTask) retire() {
-	pt.out.closeAll()
 	if !pt.released {
 		pt.released = true
 		pt.bs.releaseProber()
 	}
+	pt.out.closeAll()
 }
 
 func (pt *probeAttachTask) step(t *Task) Status {

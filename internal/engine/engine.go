@@ -52,9 +52,6 @@ type Options struct {
 	// FanOut selects the pivot fan-out discipline (default FanOutShare:
 	// refcounted read-only pages, clone only on the write path).
 	FanOut FanOutMode
-	// MaxGroupSize caps sharers per group (0 = unlimited). Section 8.1's
-	// multiple-groups strategy bounds groups to preserve parallelism.
-	MaxGroupSize int
 	// Profile enables per-node busy-time accounting for parameter
 	// estimation (Section 3.1). Profiling implies NoFusion: busy time is
 	// attributed per plan node, which a fused segment cannot separate.
@@ -95,12 +92,6 @@ type Options struct {
 	// SweepAge is the age beyond which the periodic sweep force-retires
 	// orphaned or wedged exchange entries (default: SweepInterval).
 	SweepAge time.Duration
-	// TraceCap sizes the per-engine ring buffer of per-query lifecycle
-	// traces: 0 means the default (256), a negative value disables tracing
-	// entirely (span calls reduce to nil-receiver tests). Traces record span
-	// events from submit through pivot choice to completion, plus scheduler
-	// quanta and queue-wait time, and are served by the server's trace op.
-	TraceCap int
 	// Bus, when set, replaces the engine's private work exchange with a
 	// shared one — the cross-shard artifact bus. Engines sharing a bus (the
 	// shards of a Cluster) publish and discover build states through it, so a
@@ -123,9 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SweepAge == 0 {
 		o.SweepAge = o.SweepInterval
-	}
-	if o.TraceCap == 0 {
-		o.TraceCap = 256
 	}
 	return o
 }
@@ -219,7 +207,7 @@ type Handle struct {
 	resultModel core.Query
 	resultEpoch uint64
 
-	// trace is the query's lifecycle trace (nil with tracing disabled);
+	// trace is the query's lifecycle trace;
 	// decision is the submit-time decision record, stamped before any of the
 	// query's tasks spawn and read lock-free at completion.
 	trace    *obs.QueryTrace
@@ -320,10 +308,10 @@ type Engine struct {
 	// cache is the keep-alive shared-artifact cache (nil = retention off).
 	cache     *artifact.Cache
 	closeOnce sync.Once
-	// tracer retains the most recent per-query lifecycle traces (nil when
-	// Options.TraceCap < 0); audit accumulates predicted-vs-measured benefit
-	// per decision kind; env is the model environment at the engine's
-	// emulated processor count, used to price decisions for the records.
+	// tracer retains the most recent traceCap per-query lifecycle traces;
+	// audit accumulates predicted-vs-measured benefit per decision kind; env
+	// is the model environment at the engine's emulated processor count,
+	// used to price decisions for the records.
 	tracer *obs.Tracer
 	audit  *obs.Audit
 	env    core.Env
@@ -384,7 +372,7 @@ func New(opts Options) (*Engine, error) {
 		clock:      newBusyClock(opts.Profile),
 		scans:      scans,
 		cache:      opts.Cache,
-		tracer:     obs.NewTracer(opts.TraceCap),
+		tracer:     obs.NewTracer(traceCap),
 		audit:      obs.NewAudit(),
 		env:        core.NewEnv(float64(opts.Workers)),
 		joinable:   make(map[string]*shareGroup),
@@ -769,11 +757,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 				g.mu.Lock()
 				m := g.size + 1
 				g.mu.Unlock()
-				admit := e.opts.MaxGroupSize == 0 || m <= e.opts.MaxGroupSize
-				if admit {
-					admit = e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel())
-				}
-				if admit {
+				if e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel()) {
 					z, sp := e.buildBenefit(mspec.Model, m)
 					e.stampDecision(h, "build-share", opt.Pivot, m, mspec.Model, z, sp)
 					attached, err := e.attachBuildLocked(g, mspec, h, cp)
@@ -817,9 +801,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 						}
 						return ap.ShouldAttach(mspec.Model, active+1, remaining)
 					}
-					if live &&
-						(e.opts.MaxGroupSize == 0 || active < e.opts.MaxGroupSize) &&
-						admit() {
+					if live && admit() {
 						z, sp := e.shareBenefit(core.AttachAdjusted(mspec.Model, active+1, remaining), active+1)
 						e.stampDecision(h, "attach", opt.Pivot, active+1, mspec.Model, z, sp)
 						attached, err := e.attachInflightLocked(g, mspec, h, cp)
@@ -839,13 +821,10 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 				}
 			default:
 				g.mu.Lock()
-				canJoin := !g.started && (e.opts.MaxGroupSize == 0 || g.size < e.opts.MaxGroupSize)
+				started := g.started
 				m := g.size + 1
 				g.mu.Unlock()
-				if canJoin {
-					canJoin = e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel())
-				}
-				if canJoin {
+				if !started && e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel()) {
 					z, sp := e.shareBenefit(mspec.Model, m)
 					e.stampDecision(h, "share", opt.Pivot, m, mspec.Model, z, sp)
 					if err := e.attachLocked(g, mspec, h, cp); err != nil {

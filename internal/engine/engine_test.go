@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -97,31 +98,73 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// Fused execution (the default) must agree exactly with the staged
-// one-task-per-node ablation for every query family: fusion changes where
-// operators run, never what crosses a segment boundary.
+// renderExact renders a batch row by row in emitted order with floats as
+// their exact bit patterns, so equal renderings mean byte-identical results.
+func renderExact(b *storage.Batch) string {
+	var sb strings.Builder
+	for i := 0; i < b.Len(); i++ {
+		for c, col := range b.Schema.Cols {
+			switch col.Type {
+			case storage.Int64, storage.Date:
+				fmt.Fprintf(&sb, "|%d", b.Vecs[c].I64[i])
+			case storage.Float64:
+				fmt.Fprintf(&sb, "|%x", math.Float64bits(b.Vecs[c].F64[i]))
+			case storage.String:
+				fmt.Fprintf(&sb, "|%q", b.Vecs[c].Str[i])
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// Fused execution (the default) on two workers must be byte-identical to the
+// unfused single-worker reference for every query and every family variant:
+// fusion changes where operators run, never what crosses a segment boundary,
+// and an unshared submission drains its pages in a fixed order on either
+// topology, so any divergence is a fusion bug rather than float jitter.
 func TestEngineFusionMatchesStaged(t *testing.T) {
 	db := testDB(t)
+	var specs []engine.QuerySpec
 	for _, q := range tpch.AllQueries {
-		staged := newEngine(t, engine.Options{Workers: 2, NoFusion: true})
-		hs, err := staged.Submit(tpch.MustEngineSpec(q, db, 0), nil)
-		if err != nil {
-			t.Fatalf("%s staged submit: %v", q, err)
+		specs = append(specs, tpch.MustEngineSpec(q, db, 0))
+	}
+	for _, f := range []struct {
+		variants int
+		spec     func(*tpch.DB, int, int) engine.QuerySpec
+	}{
+		{tpch.Q1FamilyVariants, tpch.Q1FamilySpec},
+		{tpch.Q6FamilyVariants, tpch.Q6FamilySpec},
+		{tpch.Q4FamilyVariants, tpch.Q4FamilySpec},
+		{tpch.Q13FamilyVariants, tpch.Q13FamilySpec},
+	} {
+		for v := 0; v < f.variants; v++ {
+			specs = append(specs, f.spec(db, 0, v))
 		}
-		want, err := hs.Wait()
+	}
+	fused := newEngine(t, engine.Options{Workers: 2})
+	staged := newEngine(t, engine.Options{Workers: 1, NoFusion: true})
+	run := func(t *testing.T, e *engine.Engine, spec engine.QuerySpec) *storage.Batch {
+		t.Helper()
+		h, err := e.Submit(spec, nil)
 		if err != nil {
-			t.Fatalf("%s staged wait: %v", q, err)
+			t.Fatalf("%s submit: %v", spec.Signature, err)
 		}
-		fused := newEngine(t, engine.Options{Workers: 2})
-		hf, err := fused.Submit(tpch.MustEngineSpec(q, db, 0), nil)
+		b, err := h.Wait()
 		if err != nil {
-			t.Fatalf("%s fused submit: %v", q, err)
+			t.Fatalf("%s wait: %v", spec.Signature, err)
 		}
-		got, err := hf.Wait()
-		if err != nil {
-			t.Fatalf("%s fused wait: %v", q, err)
-		}
-		assertSameResult(t, fmt.Sprintf("%s fused vs staged", q), got, want)
+		return b
+	}
+	// One subtest per plan, so a failure names the variant that differs and
+	// -run can target a single family.
+	for _, spec := range specs {
+		t.Run(spec.Signature, func(t *testing.T) {
+			got, want := renderExact(run(t, fused, spec)), renderExact(run(t, staged, spec))
+			if got != want {
+				t.Errorf("fused 2-worker result differs from the unfused 1-worker reference\ngot:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -268,32 +311,6 @@ func TestEngineNeverShare(t *testing.T) {
 		t.Fatalf("waits: %v %v", err1, err2)
 	}
 	assertSameResult(t, "never-share", r1, r2)
-}
-
-// MaxGroupSize caps sharers; excess submissions start fresh groups.
-func TestEngineMaxGroupSize(t *testing.T) {
-	db := testDB(t)
-	e := newEngine(t, engine.Options{Workers: 1, MaxGroupSize: 2})
-	spec := tpch.MustEngineSpec(tpch.Q6, db, 0)
-	var handles []*engine.Handle
-	for i := 0; i < 5; i++ {
-		h, err := e.Submit(spec, alwaysShare{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	want, err := tpch.RunQ6(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range handles {
-		got, err := h.Wait()
-		if err != nil {
-			t.Fatalf("handle %d: %v", i, err)
-		}
-		assertSameResult(t, fmt.Sprintf("capped %d", i), got, want)
-	}
 }
 
 // A policy that refuses keeps queries independent even when groups exist.

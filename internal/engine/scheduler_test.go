@@ -205,63 +205,151 @@ func TestSchedulerStealsFromBusyPeer(t *testing.T) {
 
 // TestSchedulerStealingKeepsMixedGroupsBounded runs fused-style long tasks
 // next to a fan-out clone group on a stealing multi-worker scheduler and
-// checks nothing starves: when the fastest task hits its quota, every other
-// always-runnable task has made substantial progress too.
+// checks nothing starves. Every counted task starts on worker 0's queue, so
+// the other workers get work only by stealing. Every few steps a task parks,
+// as operators do when a page queue runs empty or full, and the next step of
+// any task wakes it; wake re-places it round-robin. A worker whose tasks are
+// all parked or stolen steals again. Over the run every task must make at
+// least a fixed fraction of the fastest task's progress, whether it stayed
+// on the crowded queue or was stolen to a queue of its own.
+//
+// The run is built to measure steady state rather than start-up: workers are
+// capped at GOMAXPROCS, a barrier holds every counted step until all workers
+// are live, each step does a few microseconds of real work, and the run
+// lasts a fixed wall-clock quota spanning many timeslices.
 func TestSchedulerStealingKeepsMixedGroupsBounded(t *testing.T) {
 	const (
-		workers = 4
-		clones  = 4 // one degree-4 fan-out group
-		fused   = 3 // long fused-chain stand-ins
-		total   = clones + fused
-		quota   = 400
+		clones    = 4 // one degree-4 fan-out group
+		fused     = 3 // long fused-chain stand-ins
+		total     = clones + fused
+		quota     = 100 * time.Millisecond
+		parkEvery = 4 // steps between parks
+		// floor is the least progress any task may make relative to the
+		// fastest: the OS can still stall a worker for whole timeslices.
+		floor = 0.25
 	)
+	// On one thread the Go runtime, not the scheduler, decides which worker
+	// runs, in 10 ms slices that freeze whatever task a worker holds.
+	workers := min(4, runtime.GOMAXPROCS(0))
+	if workers < 2 {
+		t.Skip("stealing needs two workers running at once; GOMAXPROCS is 1")
+	}
 	s, err := NewScheduler(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 
-	var stop int32
+	// One barrier task per worker, spawned first so one heads each queue. A
+	// barrier step holds its worker until every barrier has arrived, which
+	// needs every worker running at once; no counted step runs before that.
+	// The last arrival starts the quota.
+	var arrived atomic.Int32
+	var end atomic.Int64 // UnixNano at which the run stops
+	giveUp := time.Now().Add(10 * time.Second)
+	for w := 0; w < workers; w++ {
+		s.Spawn("barrier", func(*Task) Status {
+			if arrived.Add(1) == int32(workers) {
+				end.Store(time.Now().Add(quota).UnixNano())
+			}
+			for end.Load() == 0 {
+				if time.Now().After(giveUp) {
+					t.Error("workers never all started")
+					end.Store(1)
+				}
+				runtime.Gosched()
+			}
+			return Done
+		})
+	}
+
+	// Parked tasks wait in FIFO order for the next step of any task to wake
+	// them. Once the quota ends no task parks again and the last parked ones
+	// are woken so they can finish.
+	var (
+		mu     sync.Mutex
+		parked []*Task
+		closed bool
+	)
+	wakeOne := func() {
+		mu.Lock()
+		var w *Task
+		if len(parked) > 0 {
+			w, parked = parked[0], parked[1:]
+		}
+		mu.Unlock()
+		if w != nil {
+			s.wake(w)
+		}
+	}
+	park := func(tk *Task) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if !closed {
+			parked = append(parked, tk)
+		}
+		return !closed
+	}
+	finish := func() {
+		mu.Lock()
+		closed = true
+		rest := parked
+		parked = nil
+		mu.Unlock()
+		for _, w := range rest {
+			s.wake(w)
+		}
+	}
+
+	// Spawns round-robin across the queues, so each counted task (queue 0)
+	// is followed by one no-op filler for every other queue.
 	steps := make([]int64, total)
+	var sink atomic.Uint64
 	for i := 0; i < total; i++ {
 		i := i
 		name := "fused"
 		if i < clones {
 			name = "clone"
 		}
-		s.Spawn(name, func(*Task) Status {
-			if atomic.LoadInt32(&stop) != 0 {
+		s.Spawn(name, func(tk *Task) Status {
+			if time.Now().UnixNano() >= end.Load() {
+				finish()
 				return Done
 			}
-			if atomic.AddInt64(&steps[i], 1) >= quota {
-				atomic.StoreInt32(&stop, 1)
-				return Done
+			// A few microseconds of work, standing in for a quantum's page.
+			acc := uint64(i)
+			for k := 0; k < 2000; k++ {
+				acc = acc*2654435761 + uint64(k)
 			}
-			// Real quanta hop pages across queues and locks; yield so one
-			// worker goroutine cannot monopolize a time-sliced host's CPU
-			// and finish its whole quota before its peers ever run.
-			runtime.Gosched()
+			sink.Add(acc & 1)
+			n := atomic.AddInt64(&steps[i], 1)
+			wakeOne()
+			if n%parkEvery == 0 && park(tk) {
+				return Blocked
+			}
 			return Again
 		})
+		for w := 1; w < workers; w++ {
+			s.Spawn("filler", func(*Task) Status { return Done })
+		}
 	}
 	s.Start()
 	s.WaitIdle()
 
-	min := atomic.LoadInt64(&steps[0])
-	for i := 1; i < total; i++ {
-		if n := atomic.LoadInt64(&steps[i]); n < min {
-			min = n
-		}
+	if s.Steals() == 0 {
+		t.Fatalf("no steal on %d workers although all work started on one queue (steps %v)", workers, steps)
 	}
-	if min == 0 {
+	lo, hi := atomic.LoadInt64(&steps[0]), atomic.LoadInt64(&steps[0])
+	for i := 1; i < total; i++ {
+		n := atomic.LoadInt64(&steps[i])
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	if lo == 0 {
 		t.Fatalf("a task starved entirely: per-task steps %v", steps)
 	}
-	// Across workers the OS can park a worker mid-quantum, so an exact
-	// one-round bound (the single-worker fairness test) does not hold; a
-	// fraction-of-quota floor still catches systematic starvation of either
-	// group under stealing.
-	if min < quota/10 {
-		t.Fatalf("per-task progress floor violated: min %d of quota %d (steps %v)", min, quota, steps)
+	if float64(lo) < floor*float64(hi) {
+		t.Fatalf("progress min %d < %.2f × max %d on %d workers (steps %v, %d steals)",
+			lo, floor, hi, workers, steps, s.Steals())
 	}
 }
 

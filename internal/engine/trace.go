@@ -16,11 +16,14 @@ import (
 //
 // Cost discipline: span events append under the trace's own mutex and occur
 // a handful of times per query; the per-quantum accounting is one atomic
-// add (traceStep), with time.Now() only on Blocked transitions. A disabled
-// tracer (Options.TraceCap < 0) reduces every call to a nil-receiver test.
+// add (traceStep), with time.Now() only on Blocked transitions.
 
-// Tracer returns the engine's per-query lifecycle tracer (nil when tracing
-// is disabled).
+// traceCap is how many recent per-query lifecycle traces each engine
+// retains: span events from submit through pivot choice to completion, plus
+// scheduler quanta and queue-wait time, served by the server's trace op.
+const traceCap = 256
+
+// Tracer returns the engine's per-query lifecycle tracer.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // Audit returns the engine's model-accuracy audit: predicted-vs-measured
@@ -32,7 +35,7 @@ func (e *Engine) Audit() *obs.Audit { return e.audit }
 // the work-stealing balancer keeps workers fed.
 func (e *Engine) Parks() int64 { return e.sched.Parks() }
 
-// Trace returns the handle's lifecycle trace (nil when tracing is off).
+// Trace returns the handle's lifecycle trace.
 func (h *Handle) Trace() *obs.QueryTrace { return h.trace }
 
 // Decision returns the submit-time decision record stamped on the handle:
@@ -43,11 +46,8 @@ func (h *Handle) Decision() core.DecisionRecord { return h.decision }
 // owning query's trace: one atomic add per quantum, and blocked-time
 // measured across Blocked→run transitions. The closure's blockedAt is
 // task-local state — a task steps on one worker at a time — so it needs no
-// synchronization. With tracing off the step is returned untouched.
+// synchronization.
 func traceStep(t *obs.QueryTrace, step func(*Task) Status) func(*Task) Status {
-	if t == nil {
-		return step
-	}
 	var blockedAt time.Time
 	return func(tk *Task) Status {
 		if !blockedAt.IsZero() {

@@ -250,8 +250,8 @@ func ForEngine(p engine.SharePolicy) engine.SharePolicy {
 // "inflight" alias) into the policy and whether the engine should run with
 // in-flight scan sharing for it. env is the hardware the model-guided
 // policies evaluate against and maxDegree the clone-degree cap of their
-// parallelize arm (typically the worker count). Shared by cordoba and
-// benchjson so the two never drift.
+// parallelize arm (typically the worker count). Shared by cordoba,
+// cordobad and the bench/ harness so they never drift.
 func ByName(name string, env core.Env, maxDegree int) (pol engine.SharePolicy, inflight bool, err error) {
 	switch name {
 	case "never":

@@ -31,8 +31,11 @@ type EngineRuns struct {
 	// Degrees are the sharing degrees to profile (≥ 2 distinct values;
 	// degree 1 runs unshared).
 	Degrees []int
-	// Repeats averages each degree over this many runs (default 1) to
-	// damp wall-clock noise.
+	// Repeats runs each degree this many times (default 1) and keeps the
+	// run with the least total busy time. Busy time is wall time inside a
+	// step, and descheduling or a GC pause only ever adds to it, so the
+	// least-disturbed run is the best estimate of the work. The whole run is
+	// kept, so every node's value in a measurement comes from one round.
 	Repeats int
 }
 
@@ -49,17 +52,22 @@ func MeasureEngine(cfg EngineRuns) ([]Measurement, error) {
 		if m < 1 {
 			return nil, fmt.Errorf("profile: invalid sharing degree %d", m)
 		}
-		acc := make(map[string]float64)
+		var best map[string]float64
+		bestTotal := 0.0
 		for r := 0; r < cfg.Repeats; r++ {
 			busy, err := oneEngineRound(cfg, m)
 			if err != nil {
 				return nil, err
 			}
-			for k, v := range busy {
-				acc[k] += v / float64(cfg.Repeats)
+			total := 0.0
+			for _, v := range busy {
+				total += v
+			}
+			if best == nil || total < bestTotal {
+				best, bestTotal = busy, total
 			}
 		}
-		out = append(out, Measurement{M: m, BusyPerRound: acc})
+		out = append(out, Measurement{M: m, BusyPerRound: best})
 	}
 	return out, nil
 }

@@ -11,8 +11,13 @@ import (
 func q6EngineRuns(t *testing.T) EngineRuns {
 	t.Helper()
 	db := tpch.MustGenerate(tpch.Config{ScaleFactor: 0.005, Seed: 42})
+	// One worker: busy time is wall time inside a step, so whatever takes the
+	// CPU from a stepping worker bills to the node it was running. With two
+	// workers on a loaded 2-core host the pivot's busy time at m=8 ran 2–3×
+	// its idle value in most runs, enough to pull the fitted intercept w to
+	// its clamp at zero.
 	return EngineRuns{
-		Options:   engine.Options{Workers: 2},
+		Options:   engine.Options{Workers: 1},
 		Spec:      tpch.MustEngineSpec(tpch.Q6, db, 0),
 		Structure: tpch.Plan(tpch.Q6),
 		NodeNames: map[string]string{
@@ -20,7 +25,7 @@ func q6EngineRuns(t *testing.T) EngineRuns {
 			"q6/agg":           "agg",
 		},
 		Degrees: []int{1, 4, 8},
-		Repeats: 2,
+		Repeats: 5,
 	}
 }
 
@@ -41,13 +46,24 @@ func TestMeasureEngineShapes(t *testing.T) {
 			t.Errorf("m=%d: no agg busy time", m.M)
 		}
 	}
-	// The aggregate's per-round busy time must grow roughly with m (one
-	// aggregate per sharer). The pivot's w + m·s growth is real but the
-	// scan's own work dominates it on this engine, so wall-clock noise can
-	// mask it — the aggregate ratio is the reliable shape check.
-	if meas[2].BusyPerRound["agg"] <= 2*meas[0].BusyPerRound["agg"] {
-		t.Errorf("agg busy grew too little across 8 sharers: m=1 %g, m=8 %g",
+	// Each sharer runs its own aggregate, so the aggregate's per-round busy
+	// time grows with m. How much it grows is a cost ratio the kernels set
+	// (scheduling overhead against per-row work), so only the direction is
+	// checked here.
+	if meas[2].BusyPerRound["agg"] <= meas[0].BusyPerRound["agg"] {
+		t.Errorf("agg busy did not grow across 8 sharers: m=1 %g, m=8 %g",
 			meas[0].BusyPerRound["agg"], meas[2].BusyPerRound["agg"])
+	}
+	// The same measurements fit to a well-formed model: the scan's own work
+	// w positive, the per-consumer cost s non-negative (it may clamp to zero,
+	// see TestEstimateEngineQ6Decisions), and one positive aggregate above
+	// the pivot.
+	q, err := Estimate(stripWork(cfg.Structure), tpch.PivotName, meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.PivotW <= 0 || q.PivotS < 0 || len(q.Above) != 1 || q.Above[0] <= 0 {
+		t.Errorf("ill-formed fit %+v from measurements %+v", q, meas)
 	}
 }
 

@@ -75,9 +75,12 @@ func (b *Batch) Writable() *Batch {
 			b.poolable.Store(false)
 			return b
 		}
+		// Copy while the claim still pins the original: once it is given up,
+		// the last consumer may move the original and write to it.
+		cp := b.Clone()
 		if b.shared.CompareAndSwap(n, n-1) {
 			shareCopies.Add(1)
-			return b.Clone()
+			return cp
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // cloneFixture builds a batch with one column of every vector type and two
 // rows of distinctive values.
@@ -121,6 +124,39 @@ func TestBatchSharedWritable(t *testing.T) {
 	b2.MarkShared(-5)
 	if b2.Shared() {
 		t.Error("non-positive MarkShared made the batch shared")
+	}
+}
+
+// Two consumers adopt one page fanned out to both. The one that clones must
+// finish copying before it gives up its claim, because the other then moves
+// the original and appends to it. Under the race detector a copy that still
+// reads the original after dropping the claim is reported as a data race.
+func TestBatchWritableClonesBeforeDroppingClaim(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		b := cloneFixture(t)
+		b.MarkShared(1)
+		got := make([]*Batch, 2)
+		var wg sync.WaitGroup
+		for c := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := b.Writable()
+				if err := w.AppendRow(int64(c), 0.5, "gamma", int64(1)); err != nil {
+					t.Error(err)
+				}
+				got[c] = w
+			}()
+		}
+		wg.Wait()
+		if (got[0] == b) == (got[1] == b) {
+			t.Fatalf("round %d: want exactly one consumer to move the original", round)
+		}
+		for c, w := range got {
+			if w.Len() != 3 || w.MustCol("i").I64[0] != 7 || w.MustCol("i").I64[2] != int64(c) {
+				t.Fatalf("round %d consumer %d: got %d rows, i = %v", round, c, w.Len(), w.MustCol("i").I64)
+			}
+		}
 	}
 }
 

@@ -247,8 +247,8 @@ func Q4FamilySpec(db *DB, pageRows, variant int) engine.QuerySpec {
 }
 
 // Q4FamilySpecNoHints is Q4FamilySpec with the cardinality-model pre-sizing
-// hints disabled — the unsized arm of the pre-sizing ablation. Results are
-// byte-identical to the hinted spec; only allocation behavior differs.
+// hints disabled. Results are byte-identical to the hinted spec; only
+// allocation behavior differs.
 func Q4FamilySpecNoHints(db *DB, pageRows, variant int) engine.QuerySpec {
 	return q4FamilySpec(db, pageRows, variant, false)
 }
@@ -287,36 +287,6 @@ func q4FamilySpec(db *DB, pageRows, variant int, hints bool) engine.QuerySpec {
 				Op: q4AggOp, Partial: q4AggPartial, Merge: q4AggMerge},
 		},
 	}
-}
-
-// Q4FamilyBuildPred returns the family's build-side predicate restricted to
-// the first buildFrac of the orderkey space: the late-commit clause plus
-// l_orderkey < cut, so the hash build's row count — and therefore the build
-// cost w_b — scales with buildFrac. The build-share ablation sweeps it
-// against the probe fan-in. buildFrac ≥ 1 keeps the full build.
-func Q4FamilyBuildPred(db *DB, buildFrac float64) relop.Pred {
-	if buildFrac >= 1 {
-		return Q4LineitemPred()
-	}
-	cut := int64(1 + buildFrac*float64(db.Orders.NumRows()))
-	return relop.And{Preds: []relop.Pred{
-		relop.Cmp{Op: relop.Lt, L: relop.Col("l_commitdate"), R: relop.Col("l_receiptdate")},
-		relop.Cmp{Op: relop.Lt, L: relop.Col("l_orderkey"), R: relop.ConstInt{V: cut}},
-	}}
-}
-
-// Q4FamilySpecSized is Q4FamilySpec with the build side restricted to
-// buildFrac of the orderkey space — the ablation's build-cost axis. All
-// variants at one buildFrac still share one build (the build subtree is
-// variant-independent).
-func Q4FamilySpecSized(db *DB, pageRows, variant int, buildFrac float64) engine.QuerySpec {
-	spec := Q4FamilySpec(db, pageRows, variant)
-	spec.Signature = fmt.Sprintf("%s/bf%.2f", spec.Signature, buildFrac)
-	// The restricted build side changes the plan, so the compile-cache key
-	// must carry the buildFrac suffix too.
-	spec.PlanKey = spec.Signature
-	spec.Nodes[0].Scan.Pred = Q4FamilyBuildPred(db, buildFrac)
-	return spec
 }
 
 // Q4FamilyReference executes a Q4 family variant single-threaded: the
