@@ -95,7 +95,7 @@ func (fs *inflightScan) flush(t *Task) bool {
 				delete(fs.queues, id)
 			}
 		}
-		fs.pending = fs.pending[1:]
+		popFront(&fs.pending)
 		fs.nextConsumer = 0
 		fs.headMarked = false
 	}

@@ -82,8 +82,7 @@ func (q *PageQueue) TryPush(t *Task, b *storage.Batch) bool {
 func (q *PageQueue) TryPop(t *Task) (b *storage.Batch, ok, done bool) {
 	q.mu.Lock()
 	if len(q.items) > 0 {
-		b = q.items[0]
-		q.items = q.items[1:]
+		b = popFront(&q.items)
 		w := takeWaiter(&q.waitProd)
 		q.mu.Unlock()
 		q.s.queuedPages.Add(-1)
@@ -138,7 +137,19 @@ func takeWaiter(list *[]*Task) *Task {
 	if len(*list) == 0 {
 		return nil
 	}
-	t := (*list)[0]
-	*list = (*list)[1:]
-	return t
+	return popFront(list)
+}
+
+// popFront removes and returns the first element of a non-empty *s by
+// copying the rest down, so the slice keeps its backing array. Re-slicing
+// with s[1:] would walk the array forward and make the next append
+// reallocate it; the queues here hold a few entries, so the copy is cheap.
+func popFront[T any](s *[]T) T {
+	q := *s
+	x := q[0]
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero // drop the reference the vacated tail slot still holds
+	*s = q[:n]
+	return x
 }

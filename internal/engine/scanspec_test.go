@@ -100,8 +100,8 @@ func TestScanSpecEmptyTable(t *testing.T) {
 	}
 }
 
-// PageRows <= 0 derives the quantum from the page size and the projected
-// schema — not the table's full schema — and explicit values are honored.
+// PageRows <= 0 takes the engine-wide granule, storage.PageRows, whatever
+// the projection, and explicit values are honored.
 func TestScanSpecPageRowsDerivation(t *testing.T) {
 	tbl := twoColTable(t, 100)
 	derived := &ScanSpec{Table: tbl, Cols: []string{"v"}}
@@ -109,12 +109,8 @@ func TestScanSpecPageRowsDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := tbl.Schema().Project("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := storage.RowsPerPage(proj, storage.DefaultPageSize); src.pageRows != want {
-		t.Errorf("derived pageRows = %d, want %d", src.pageRows, want)
+	if src.pageRows != storage.PageRows {
+		t.Errorf("derived pageRows = %d, want %d", src.pageRows, storage.PageRows)
 	}
 	negative := &ScanSpec{Table: tbl, Cols: []string{"v"}, PageRows: -7}
 	nsrc, err := negative.newSource()
@@ -152,5 +148,102 @@ func TestScanSpecPageRowsDerivation(t *testing.T) {
 	}
 	if rows != 100 || pages != 8 {
 		t.Errorf("scan delivered %d rows in %d pages, want 100 in 8", rows, pages)
+	}
+}
+
+// Every page the engine makes by default carries at most storage.PageRows
+// rows: a default-granule scan source, relop.NewScan, aggregate emission
+// (serial, partial and merge) and sort emission (Sort and SortMerge) each
+// cut 2.5 × PageRows rows into exactly three pages.
+func TestPageGranule(t *testing.T) {
+	const rows = storage.PageRows * 5 / 2
+	tbl := twoColTable(t, rows) // v is distinct per row: one group per row
+	schema := tbl.Schema()
+	groupBy := []string{"v"}
+	specs := []relop.AggSpec{{Func: relop.Count, As: "n"}}
+	keys := []relop.SortKey{{Column: "v", Desc: true}}
+	// pushAll feeds the whole table as one page, so every output page
+	// boundary is the emitter's own.
+	pushAll := func(op relop.Operator, err error) error {
+		if err != nil {
+			return err
+		}
+		if err := op.Push(tbl.Data()); err != nil {
+			return err
+		}
+		return op.Finish()
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(emit relop.Emit) error
+	}{
+		{"engine scan source", func(emit relop.Emit) error {
+			src, err := (&ScanSpec{Table: tbl}).newSource()
+			if err != nil {
+				return err
+			}
+			for {
+				b, eof, err := src.Next()
+				if err != nil {
+					return err
+				}
+				if b != nil {
+					if err := emit(b); err != nil {
+						return err
+					}
+				}
+				if eof {
+					return nil
+				}
+			}
+		}},
+		{"relop.NewScan", func(emit relop.Emit) error {
+			sc, err := relop.NewScan(tbl, nil, nil, 0, emit)
+			if err != nil {
+				return err
+			}
+			return sc.Run()
+		}},
+		{"HashAgg", func(emit relop.Emit) error {
+			return pushAll(relop.NewHashAgg(schema, groupBy, specs, emit))
+		}},
+		{"partial HashAgg", func(emit relop.Emit) error {
+			return pushAll(relop.NewPartialHashAgg(schema, groupBy, specs, emit))
+		}},
+		{"MergeHashAgg", func(emit relop.Emit) error {
+			merge, err := relop.NewMergeHashAgg(schema, groupBy, specs, emit)
+			if err != nil {
+				return err
+			}
+			if err := pushAll(relop.NewPartialHashAgg(schema, groupBy, specs, merge.Push)); err != nil {
+				return err
+			}
+			return merge.Finish()
+		}},
+		{"Sort", func(emit relop.Emit) error {
+			return pushAll(relop.NewSort(schema, keys, emit))
+		}},
+		{"SortMerge", func(emit relop.Emit) error {
+			// The table holds v ascending, so it is one sorted run.
+			return pushAll(relop.NewSortMerge(schema, []relop.SortKey{{Column: "v"}}, emit))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pages, total := 0, 0
+			err := tc.run(func(b *storage.Batch) error {
+				pages++
+				total += b.Len()
+				if b.Len() > storage.PageRows {
+					t.Errorf("page of %d rows exceeds storage.PageRows = %d", b.Len(), storage.PageRows)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pages != 3 || total != rows {
+				t.Errorf("%d rows in %d pages, want %d in 3", total, pages, rows)
+			}
+		})
 	}
 }

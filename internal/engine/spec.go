@@ -71,7 +71,8 @@ type ScanSpec struct {
 	Pred relop.Pred
 	// Cols projects the named columns (nil = all columns).
 	Cols []string
-	// PageRows is the scan quantum in rows (0 = derive from page size).
+	// PageRows is the scan quantum in base-table rows (<= 0 =
+	// storage.PageRows).
 	PageRows int
 }
 
@@ -417,25 +418,40 @@ func (sc *ScanSpec) newSource() (*tableSource, error) {
 	if err != nil {
 		return nil, err
 	}
+	colIdx := make([]int, len(useCols))
+	for i, name := range useCols {
+		colIdx[i] = s.MustIndex(name) // Project resolved every name
+	}
 	p := sc.Pred
 	if p == nil {
 		p = relop.True{}
 	}
 	rows := sc.PageRows
 	if rows <= 0 {
-		rows = storage.RowsPerPage(out, storage.DefaultPageSize)
+		rows = storage.PageRows
 	}
-	return &tableSource{tbl: sc.Table, pred: p, cols: useCols, out: out, pageRows: rows}, nil
+	return &tableSource{
+		tbl:      sc.Table,
+		pred:     p,
+		colIdx:   colIdx,
+		out:      out,
+		pageRows: rows,
+		window:   &storage.Batch{Schema: s, Vecs: make([]storage.Vector, s.Arity())},
+	}, nil
 }
 
+// tableSource reads one scan's pages. It is stepped by one task at a time —
+// a shared circular scan, a parallel clone and a plain source each own
+// theirs — so its reused buffers need no lock.
 type tableSource struct {
 	tbl      *storage.Table
 	pred     relop.Pred
-	cols     []string
+	colIdx   []int // projected columns' positions in the table schema
 	out      storage.Schema
 	pageRows int
 	offset   int
-	sel      []int // reused selection buffer; output batches never alias it
+	sel      []int          // reused selection buffer; output batches never alias it
+	window   *storage.Batch // reused full-width view of the span being read
 }
 
 // Schema implements PageSource.
@@ -463,8 +479,13 @@ func (t *tableSource) Next() (*storage.Batch, bool, error) {
 // predicate selects none. Circular scans call it with registry-chosen spans
 // (including wrap-around re-reads for late joiners).
 func (t *tableSource) readSpan(lo, hi int) (*storage.Batch, error) {
-	window := t.tbl.Data().Slice(lo, hi)
-	sel, err := t.pred.Filter(window, relop.FillSel(t.sel, window.Len()))
+	// The window is re-sliced in place for every span: predicates only read
+	// it and the output page below is gathered into pooled storage, so
+	// nothing holds it past this call.
+	for i, v := range t.tbl.Data().Vecs {
+		t.window.Vecs[i] = v.Slice(lo, hi)
+	}
+	sel, err := t.pred.Filter(t.window, relop.FillSel(t.sel, hi-lo))
 	if err != nil {
 		return nil, err
 	}
@@ -476,12 +497,8 @@ func (t *tableSource) readSpan(lo, hi int) (*storage.Batch, error) {
 	// staged equivalent) releases each page once folded, returning the
 	// column storage here for the next span instead of to the allocator.
 	res := storage.GetPage(t.out, len(sel))
-	for i, name := range t.cols {
-		v, err := window.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		res.Vecs[i].AppendGather(v, sel)
+	for i, c := range t.colIdx {
+		res.Vecs[i].AppendGather(t.window.Vecs[c], sel)
 	}
 	return res, nil
 }

@@ -113,7 +113,7 @@ func (o *outbox) flush(t *Task) bool {
 		if !deliverSeq(t, o.pending[0], o.outs, &o.nextConsumer, o.fanOut) {
 			return false
 		}
-		o.pending = o.pending[1:]
+		popFront(&o.pending)
 		o.nextConsumer = 0
 		o.headMarked = false
 	}

@@ -61,7 +61,6 @@ type HashAgg struct {
 	tbl       *aggTable
 	scratch   exprScratch
 	emit      Emit
-	batchRows int
 	partial   bool
 	done      bool
 }
@@ -118,7 +117,6 @@ func NewHashAggSized(in storage.Schema, groupBy []string, specs []AggSpec, hint 
 		outSchema: out,
 		tbl:       newAggTable(groupBy, outCols[:len(groupBy)], specs, hint),
 		emit:      emit,
-		batchRows: storage.RowsPerPage(out, storage.DefaultPageSize),
 	}, nil
 }
 
@@ -191,7 +189,7 @@ func (h *HashAgg) Finish() error {
 	}
 	h.done = true
 	if h.partial {
-		return h.tbl.emitPartialState(h.outSchema, h.batchRows, h.emit)
+		return h.tbl.emitPartialState(h.outSchema, h.emit)
 	}
-	return h.tbl.emitFinalRows(h.outSchema, h.batchRows, h.emit)
+	return h.tbl.emitFinalRows(h.outSchema, h.emit)
 }

@@ -255,12 +255,13 @@ func (t *aggTable) emitOrder() []int {
 	return order
 }
 
-// emitPages streams the groups in emission order, batchRows per page: the
-// key columns gathered from keys, then whatever cols appends for the chunk.
-func (t *aggTable) emitPages(outSchema storage.Schema, batchRows int, emit Emit, cols func(vecs []storage.Vector, chunk []int) []storage.Vector) error {
+// emitPages streams the groups in emission order, storage.PageRows per page:
+// the key columns gathered from keys, then whatever cols appends for the
+// chunk.
+func (t *aggTable) emitPages(outSchema storage.Schema, emit Emit, cols func(vecs []storage.Vector, chunk []int) []storage.Vector) error {
 	order := t.emitOrder()
-	for lo := 0; lo < len(order); lo += batchRows {
-		chunk := order[lo:min(lo+batchRows, len(order))]
+	for lo := 0; lo < len(order); lo += storage.PageRows {
+		chunk := order[lo:min(lo+storage.PageRows, len(order))]
 		vecs := make([]storage.Vector, 0, outSchema.Arity())
 		for _, kv := range t.keys {
 			vecs = append(vecs, kv.Gather(chunk))
@@ -284,12 +285,12 @@ func gatherInts(src []int64, idx []int) storage.Vector {
 // synthesizing the single zero row a global aggregate owes over empty input.
 // Shared by HashAgg and MergeHashAgg so serial and partial+merge execution
 // emit identical results.
-func (t *aggTable) emitFinalRows(outSchema storage.Schema, batchRows int, emit Emit) error {
+func (t *aggTable) emitFinalRows(outSchema storage.Schema, emit Emit) error {
 	if len(t.groupBy) == 0 && t.n == 0 {
 		t.addGroup(nil, 0)
 		t.unseen = true
 	}
-	return t.emitPages(outSchema, batchRows, emit, func(vecs []storage.Vector, chunk []int) []storage.Vector {
+	return t.emitPages(outSchema, emit, func(vecs []storage.Vector, chunk []int) []storage.Vector {
 		for i, sp := range t.specs {
 			a := &t.accs[i]
 			switch sp.Func {

@@ -108,7 +108,11 @@ type JoinBuild struct {
 	// rowKey is each pushed row's dense key id; Finish turns it (with the
 	// per-key counts accumulating in tbl.offsets) into the table's index.
 	rowKey []int32
-	done   bool
+	// reserve is the row-count hint, applied by the first Push: a build is
+	// constructed at submit, under the engine's lock, and the reservation
+	// zeroes memory in proportion to it, so it waits for a worker.
+	reserve int
+	done    bool
 }
 
 // NewJoinBuild constructs a build over the given schema keyed on buildKey.
@@ -118,11 +122,12 @@ func NewJoinBuild(build storage.Schema, buildKey string) (*JoinBuild, error) {
 
 // NewJoinBuildSized is NewJoinBuild with a row-count hint: everything that
 // holds one entry per build row — the row storage and the rows' key ids — is
-// pre-sized to the estimated build cardinality, so a build whose model guessed
-// right never regrows it mid-build. What holds one entry per distinct key (the
-// key table and the offsets) grows on demand instead: a row count says nothing
-// about how many keys repeat, and a table sized for rows that turn out to
-// share keys stays resident, mostly empty, for as long as the table is cached.
+// sized to the estimated build cardinality at the first Push, so a build whose
+// model guessed right never regrows it mid-build. What holds one entry per
+// distinct key (the key table and the offsets) grows on demand instead: a row
+// count says nothing about how many keys repeat, and a table sized for rows
+// that turn out to share keys stays resident, mostly empty, for as long as the
+// table is cached.
 // The hint is advisory — zero (or a wrong estimate) only costs the usual
 // incremental growth, never correctness.
 func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBuild, error) {
@@ -141,11 +146,11 @@ func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBu
 			schema:  build,
 			key:     buildKey,
 			keyIdx:  bi,
-			rows:    storage.NewBatch(build, hint),
+			rows:    storage.NewBatch(build, 0),
 			keys:    newIntTable(0),
 			offsets: make([]int32, 2),
 		},
-		rowKey: make([]int32, 0, hint),
+		reserve: hint,
 	}, nil
 }
 
@@ -164,6 +169,11 @@ func (jb *JoinBuild) Push(b *storage.Batch) error {
 		return err
 	}
 	t := jb.tbl
+	if jb.reserve > 0 {
+		t.rows = storage.NewBatch(t.schema, jb.reserve)
+		jb.rowKey = make([]int32, 0, jb.reserve)
+		jb.reserve = 0
+	}
 	t.rows.AppendBatch(b)
 	// Until Finish, offsets[id+2] counts the rows of key id.
 	for _, k := range b.Vecs[ki].I64 {
@@ -424,7 +434,14 @@ type HashJoin struct {
 
 // NewHashJoin constructs a hash join of the given kind.
 func NewHashJoin(kind JoinKind, build storage.Schema, buildKey string, probe storage.Schema, probeKey string, emit Emit) (*HashJoin, error) {
-	jb, err := NewJoinBuild(build, buildKey)
+	return NewHashJoinSized(kind, build, buildKey, probe, probeKey, 0, emit)
+}
+
+// NewHashJoinSized is NewHashJoin with a build-side row-count hint, passed to
+// NewJoinBuildSized so the build's row storage starts at its estimated size.
+// Advisory only.
+func NewHashJoinSized(kind JoinKind, build storage.Schema, buildKey string, probe storage.Schema, probeKey string, buildHint int, emit Emit) (*HashJoin, error) {
+	jb, err := NewJoinBuildSized(build, buildKey, buildHint)
 	if err != nil {
 		return nil, err
 	}

@@ -8,19 +8,18 @@ import (
 )
 
 // Microbenchmarks of the per-row kernels, shaped like the TPC-H plans the
-// engine runs and paged like the engine pages them (one default-size page
-// per Push). Run with -benchmem: allocs/op is per pass over all pages.
+// engine runs and paged like the engine pages them (one storage.PageRows
+// page per Push). Run with -benchmem: allocs/op is per pass over all pages.
 
 const kernelBenchRows = 60000 // about lineitem at the benchmark's scale factor
 
-// benchPages cuts rows generated by gen into default-size pages of schema.
+// benchPages cuts rows generated by gen into storage.PageRows pages of schema.
 func benchPages(b *testing.B, schema storage.Schema, rows int, gen func(r int) []any) []*storage.Batch {
 	b.Helper()
-	per := storage.RowsPerPage(schema, storage.DefaultPageSize)
 	var pages []*storage.Batch
 	for r := 0; r < rows; r++ {
-		if r%per == 0 {
-			pages = append(pages, storage.NewBatch(schema, per))
+		if r%storage.PageRows == 0 {
+			pages = append(pages, storage.NewBatch(schema, storage.PageRows))
 		}
 		if err := pages[len(pages)-1].AppendRow(gen(r)...); err != nil {
 			b.Fatal(err)

@@ -74,7 +74,8 @@ type Scan struct {
 }
 
 // NewScan builds a scan over table emitting the named columns (all columns
-// if cols is nil) for rows satisfying pred (all rows if pred is nil).
+// if cols is nil) for rows satisfying pred (all rows if pred is nil),
+// batchRows base rows per page (storage.PageRows if batchRows <= 0).
 func NewScan(table *storage.Table, pred Pred, cols []string, batchRows int, emit Emit) (*Scan, error) {
 	s := table.Schema()
 	if cols == nil {
@@ -90,7 +91,7 @@ func NewScan(table *storage.Table, pred Pred, cols []string, batchRows int, emit
 		pred = True{}
 	}
 	if batchRows <= 0 {
-		batchRows = storage.RowsPerPage(out, storage.DefaultPageSize)
+		batchRows = storage.PageRows
 	}
 	return &Scan{table: table, pred: pred, outSchema: out, cols: cols, batchRows: batchRows, emit: emit}, nil
 }

@@ -75,7 +75,6 @@ type naiveAgg struct {
 	groupBy   []string
 	specs     []AggSpec
 	outSchema storage.Schema
-	batchRows int
 	partial   bool
 	groups    map[string]*naiveAggState
 	emit      Emit
@@ -97,7 +96,6 @@ func newNaiveAgg(in storage.Schema, groupBy []string, specs []AggSpec, partial b
 		groupBy:   groupBy,
 		specs:     specs,
 		outSchema: out,
-		batchRows: storage.RowsPerPage(out, storage.DefaultPageSize),
 		partial:   partial,
 		groups:    map[string]*naiveAggState{},
 		emit:      emit,
@@ -214,7 +212,7 @@ func (h *naiveAgg) Finish() error {
 		}
 		return v
 	}
-	out := storage.NewBatch(h.outSchema, h.batchRows)
+	out := storage.NewBatch(h.outSchema, storage.PageRows)
 	for _, k := range keys {
 		st := h.groups[k]
 		row := append([]any{}, st.keyVals...)
@@ -243,11 +241,11 @@ func (h *naiveAgg) Finish() error {
 		if err := out.AppendRow(row...); err != nil {
 			return err
 		}
-		if out.Len() >= h.batchRows {
+		if out.Len() >= storage.PageRows {
 			if err := h.emit(out); err != nil {
 				return err
 			}
-			out = storage.NewBatch(h.outSchema, h.batchRows)
+			out = storage.NewBatch(h.outSchema, storage.PageRows)
 		}
 	}
 	if out.Len() > 0 {

@@ -64,13 +64,12 @@ func NewPartialHashAgg(in storage.Schema, groupBy []string, specs []AggSpec, emi
 	}
 	h.partial = true
 	h.outSchema = ps
-	h.batchRows = storage.RowsPerPage(ps, storage.DefaultPageSize)
 	return h, nil
 }
 
 // emitPartialState streams raw accumulator rows in PartialAggSchema order.
-func (t *aggTable) emitPartialState(outSchema storage.Schema, batchRows int, emit Emit) error {
-	return t.emitPages(outSchema, batchRows, emit, func(vecs []storage.Vector, chunk []int) []storage.Vector {
+func (t *aggTable) emitPartialState(outSchema storage.Schema, emit Emit) error {
+	return t.emitPages(outSchema, emit, func(vecs []storage.Vector, chunk []int) []storage.Vector {
 		for i, sp := range t.specs {
 			a := &t.accs[i]
 			switch sp.Func {
@@ -99,7 +98,6 @@ type MergeHashAgg struct {
 	outSchema storage.Schema // identical to NewHashAgg's
 	tbl       *aggTable
 	emit      Emit
-	batchRows int
 	done      bool
 }
 
@@ -118,7 +116,6 @@ func NewMergeHashAgg(in storage.Schema, groupBy []string, specs []AggSpec, emit 
 		outSchema: serial.outSchema,
 		tbl:       serial.tbl,
 		emit:      emit,
-		batchRows: serial.batchRows,
 	}, nil
 }
 
@@ -177,5 +174,5 @@ func (m *MergeHashAgg) Finish() error {
 		return ErrFinished
 	}
 	m.done = true
-	return m.tbl.emitFinalRows(m.outSchema, m.batchRows, m.emit)
+	return m.tbl.emitFinalRows(m.outSchema, m.emit)
 }

@@ -193,7 +193,9 @@ func TestMergeAggSchemaMatchesSerial(t *testing.T) {
 func TestSortMergeEquivalence(t *testing.T) {
 	s := partialTestSchema()
 	keys := []SortKey{{Column: "k"}, {Column: "v", Desc: true}}
-	input := randomBatches(t, s, 8, 50, 11)
+	// 3 600 rows over 3 clones: each clone emits two sorted pages, and the
+	// merge flushes full pages mid-merge.
+	input := randomBatches(t, s, 9, 400, 11)
 
 	wantEmit, want := collectRows()
 	serial, err := NewSort(s, keys, wantEmit)
@@ -252,8 +254,9 @@ func TestSortMergeEdges(t *testing.T) {
 		t.Fatalf("empty merge emitted %d rows", len(*rows))
 	}
 
-	// One pre-sorted run passes through unchanged, exercising the bulk tail.
-	input := randomBatches(t, s, 1, 500, 5)
+	// One pre-sorted run passes through unchanged, exercising the bulk tail
+	// across page boundaries.
+	input := randomBatches(t, s, 1, 5*storage.PageRows/2, 5)
 	wantEmit, want := collectRows()
 	srt, err := NewSort(s, keys, wantEmit)
 	if err != nil {

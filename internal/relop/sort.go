@@ -20,12 +20,11 @@ type SortKey struct {
 // and emits ordered batches on Finish. This is exactly the operator class
 // Section 5.2 models as decoupling the rates below it from those above.
 type Sort struct {
-	keys      []SortKey
-	schema    storage.Schema
-	buf       *storage.Batch
-	emit      Emit
-	batchRows int
-	done      bool
+	keys   []SortKey
+	schema storage.Schema
+	buf    *storage.Batch
+	emit   Emit
+	done   bool
 }
 
 // NewSort builds a sort over the given schema.
@@ -46,11 +45,10 @@ func NewSortSized(schema storage.Schema, keys []SortKey, hint int, emit Emit) (*
 		hint = 0
 	}
 	return &Sort{
-		keys:      keys,
-		schema:    schema,
-		buf:       storage.NewBatch(schema, hint),
-		emit:      emit,
-		batchRows: storage.RowsPerPage(schema, storage.DefaultPageSize),
+		keys:   keys,
+		schema: schema,
+		buf:    storage.NewBatch(schema, hint),
+		emit:   emit,
 	}, nil
 }
 
@@ -97,11 +95,8 @@ func (s *Sort) Finish() error {
 		}
 		return false
 	})
-	for lo := 0; lo < n; lo += s.batchRows {
-		hi := lo + s.batchRows
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += storage.PageRows {
+		hi := min(lo+storage.PageRows, n)
 		if err := s.emit(s.buf.Gather(idx[lo:hi])); err != nil {
 			return err
 		}
@@ -119,12 +114,11 @@ func compareAt(v storage.Vector, a, b int) int { return compareAt2(v, a, v, b) }
 // (stability across runs follows arrival order, which is all a parallel
 // plan can promise anyway).
 type SortMerge struct {
-	keys      []SortKey
-	schema    storage.Schema
-	runs      []*storage.Batch
-	emit      Emit
-	batchRows int
-	done      bool
+	keys   []SortKey
+	schema storage.Schema
+	runs   []*storage.Batch
+	emit   Emit
+	done   bool
 }
 
 // NewSortMerge builds a merge over the given schema and keys.
@@ -134,12 +128,7 @@ func NewSortMerge(schema storage.Schema, keys []SortKey, emit Emit) (*SortMerge,
 			return nil, err
 		}
 	}
-	return &SortMerge{
-		keys:      keys,
-		schema:    schema,
-		emit:      emit,
-		batchRows: storage.RowsPerPage(schema, storage.DefaultPageSize),
-	}, nil
+	return &SortMerge{keys: keys, schema: schema, emit: emit}, nil
 }
 
 // OutSchema implements Operator.
@@ -225,13 +214,13 @@ func (s *SortMerge) Finish() error {
 		}
 		push(c)
 	}
-	out := storage.NewBatch(s.schema, s.batchRows)
+	out := storage.NewBatch(s.schema, storage.PageRows)
 	flush := func() error {
 		if out.Len() == 0 {
 			return nil
 		}
 		err := s.emit(out)
-		out = storage.NewBatch(s.schema, s.batchRows)
+		out = storage.NewBatch(s.schema, storage.PageRows)
 		return err
 	}
 	for len(heap) > 0 {
@@ -239,13 +228,10 @@ func (s *SortMerge) Finish() error {
 		if len(heap) == 0 {
 			// Single run left: bulk-copy its tail in page-size chunks.
 			for lo := c.row; lo < c.run.Len(); {
-				take := s.batchRows - out.Len()
-				if take > c.run.Len()-lo {
-					take = c.run.Len() - lo
-				}
+				take := min(storage.PageRows-out.Len(), c.run.Len()-lo)
 				out.AppendBatch(c.run.Slice(lo, lo+take))
 				lo += take
-				if out.Len() >= s.batchRows {
+				if out.Len() >= storage.PageRows {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -258,7 +244,7 @@ func (s *SortMerge) Finish() error {
 		if c.row < c.run.Len() {
 			push(c)
 		}
-		if out.Len() >= s.batchRows {
+		if out.Len() >= storage.PageRows {
 			if err := flush(); err != nil {
 				return err
 			}

@@ -23,9 +23,6 @@ import (
 type Config struct {
 	// DB is the generated TPC-H instance queries run against.
 	DB *tpch.DB
-	// PageRows overrides the page granule of family scans (0 = family
-	// default).
-	PageRows int
 	// Shards partitions execution across this many engine shards (0 or 1 =
 	// one engine, the classic topology). Sharded servers range-partition the
 	// database once at startup, compile every family's scatter-gather plan,
@@ -119,7 +116,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		plans, err = tpch.CompileShardPlans(sdb, cfg.PageRows)
+		plans, err = tpch.CompileShardPlans(sdb, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +357,7 @@ func (s *Server) handleQuery(c *conn, req Request) {
 		p.sharded = true
 		p.spec = p.plan.Template
 	} else {
-		p.spec = fam.Spec(s.cfg.DB, s.cfg.PageRows, req.Variant)
+		p.spec = fam.Spec(s.cfg.DB, 0, req.Variant)
 	}
 	p.cands = candidates(p.spec)
 

@@ -7,10 +7,17 @@ import (
 	"math"
 )
 
-// DefaultPageSize is the typical intermediate-result page size the paper's
-// engine uses ("the intermediate results between operators are packed into
-// pages (of typical size of 4K)", Section 3.2).
-const DefaultPageSize = 4096
+// PageRows is the most rows any page the engine makes may carry: the scan
+// quantum when a scan does not set its own, and the output page size of
+// aggregation and sort. The paper's engine packs intermediate results into
+// byte-sized pages ("of typical size of 4K", Section 3.2); this engine's page
+// is a row count instead, set by the fixed cost every page pays regardless
+// of its rows — a scheduler quantum, a queue hop, a pool round trip per
+// column and per-page operator setup, about 4 µs together. At 4 KB a Q1
+// lineitem page held 51 rows and that fixed cost was about a third of an
+// unshared query's CPU; at about a thousand rows, the batch size vectorized
+// engines use for the same reason, it is a small fraction.
+const PageRows = 1024
 
 // ErrPageCorrupt is returned when a page fails to decode.
 var ErrPageCorrupt = errors.New("storage: corrupt page")
@@ -125,19 +132,6 @@ func DecodePage(page []byte, s Schema) (*Batch, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrPageCorrupt, len(page)-rd.pos)
 	}
 	return b, nil
-}
-
-// RowsPerPage returns how many tuples of the schema fit a page of the given
-// byte size (at least 1, so progress is always possible).
-func RowsPerPage(s Schema, pageSize int) int {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	n := pageSize / s.RowWidth()
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 type pageReader struct {

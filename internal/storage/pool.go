@@ -17,19 +17,30 @@ import (
 
 // slicePool recycles one payload-slice type. Slices return with length
 // reset to zero and whatever capacity they grew to, so the pool converges
-// on the workload's page size without a fixed size class.
-type slicePool[T any] struct{ p sync.Pool }
+// on the workload's page size without a fixed size class. A sync.Pool holds
+// pointers, so each pooled slice travels in a *[]T box; get hands the
+// emptied box to a second pool and put takes it back from there, so a
+// recycle allocates nothing once both pools are warm.
+type slicePool[T any] struct{ full, boxes sync.Pool }
 
 func (sp *slicePool[T]) get(n int) []T {
-	if v, _ := sp.p.Get().(*[]T); v != nil {
+	if v, _ := sp.full.Get().(*[]T); v != nil {
 		poolHits.Add(1)
-		return (*v)[:0]
+		s := (*v)[:0]
+		*v = nil
+		sp.boxes.Put(v)
+		return s
 	}
 	return make([]T, 0, n)
 }
 
 func (sp *slicePool[T]) put(s []T) {
-	sp.p.Put(&s)
+	v, _ := sp.boxes.Get().(*[]T)
+	if v == nil {
+		v = new([]T)
+	}
+	*v = s
+	sp.full.Put(v)
 }
 
 var (

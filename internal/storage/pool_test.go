@@ -71,6 +71,27 @@ func TestPagePoolRecycleAndReuse(t *testing.T) {
 	}
 }
 
+// Once the pool is warm, a GetPage → Release round trip allocates the Batch
+// header and its Vecs slice and nothing else: column storage comes back out
+// of the pool, and recycling it reuses the pool's slice boxes.
+func TestPagePoolRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	sch := poolSchema(t)
+	roundTrip := func() {
+		b := GetPage(sch, 8)
+		b.Vecs[0].AppendInt(1)
+		b.Vecs[1].AppendFloat(2)
+		b.Vecs[2].AppendString("x")
+		b.Release()
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 2 {
+		t.Errorf("warm GetPage/Release allocates %v objects, want 2 (Batch and Vecs)", allocs)
+	}
+}
+
 // Pages that were ever fanned out (MarkShared) are permanently exempt from
 // recycling: released claims prove the claimants are done, not that no
 // adopter kept an alias.

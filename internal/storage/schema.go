@@ -1,7 +1,8 @@
 // Package storage implements the in-memory storage substrate of the engine:
-// column-major tables, typed column vectors, tuple batches, and the packed
-// page representation (default 4 KB) that Cordoba-style staged engines use to
-// move intermediate results between operators.
+// column-major tables, typed column vectors, tuple batches, and the pages
+// that move intermediate results between operators. The paper's engine used
+// 4 KB pages; this engine's page is a row count, PageRows, sized by the
+// measured fixed cost each page pays (see PageRows).
 //
 // The paper's workloads are memory-resident (Section 2.3: "large memories
 // mean the working set of many databases fits entirely in main memory"), so
@@ -46,10 +47,6 @@ func (t Type) String() string {
 
 // Fixed returns whether values of the type have a fixed encoded width.
 func (t Type) Fixed() bool { return t != String }
-
-// FixedWidth returns the encoded width in bytes for fixed types (8 for all
-// of them) and the per-value overhead for strings.
-func (t Type) FixedWidth() int { return 8 }
 
 // Column describes one attribute of a schema.
 type Column struct {
@@ -140,22 +137,4 @@ func (s Schema) Project(names ...string) (Schema, error) {
 		out.Cols = append(out.Cols, s.Cols[i])
 	}
 	return out, nil
-}
-
-// RowWidth estimates the encoded byte width of one tuple: 8 bytes per fixed
-// column plus a conservative 24 bytes per string column (length prefix plus
-// typical payload). Page capacity planning uses this estimate.
-func (s Schema) RowWidth() int {
-	w := 0
-	for _, c := range s.Cols {
-		if c.Type.Fixed() {
-			w += c.Type.FixedWidth()
-		} else {
-			w += 24
-		}
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
 }

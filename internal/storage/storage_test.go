@@ -43,17 +43,6 @@ func TestSchemaIndexAndProject(t *testing.T) {
 	}
 }
 
-func TestSchemaRowWidth(t *testing.T) {
-	s := testSchema()
-	// 3 fixed columns (8 each) + 1 string column (24 estimated).
-	if got := s.RowWidth(); got != 48 {
-		t.Errorf("RowWidth = %d, want 48", got)
-	}
-	if got := (Schema{}).RowWidth(); got != 1 {
-		t.Errorf("empty schema RowWidth = %d, want 1", got)
-	}
-}
-
 func TestMustIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -238,19 +227,6 @@ func TestDecodePageErrors(t *testing.T) {
 	)
 	if _, err := DecodePage(page, twisted); !errors.Is(err, ErrPageCorrupt) {
 		t.Errorf("types: got %v, want ErrPageCorrupt", err)
-	}
-}
-
-func TestRowsPerPage(t *testing.T) {
-	s := testSchema() // width 48
-	if got := RowsPerPage(s, 4096); got != 85 {
-		t.Errorf("RowsPerPage = %d, want 85", got)
-	}
-	if got := RowsPerPage(s, 0); got != 85 {
-		t.Errorf("default page size: got %d, want 85", got)
-	}
-	if got := RowsPerPage(s, 10); got != 1 {
-		t.Errorf("tiny page: got %d, want 1", got)
 	}
 }
 

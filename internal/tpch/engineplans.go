@@ -149,8 +149,8 @@ func q4Spec(db *DB, pageRows int) engine.QuerySpec {
 
 // semiJoinNode builds the Q4-shaped semi-join node with its split
 // Build/Probe forms declared, so the build side is a shareable pivot.
-// buildHint pre-sizes the split build's hash table to the estimated
-// build-side cardinality (zero = unsized).
+// buildHint pre-sizes the build's hash table, split or inside the unshared
+// join, to the estimated build-side cardinality (zero = unsized).
 func semiJoinNode(name string, lineSchema, orderSchema storage.Schema, buildIn, probeIn, buildHint int) engine.NodeSpec {
 	return engine.NodeSpec{
 		Name:        name,
@@ -158,7 +158,7 @@ func semiJoinNode(name string, lineSchema, orderSchema storage.Schema, buildIn, 
 		BuildInput:  buildIn,
 		ProbeInput:  probeIn,
 		Join: func(emit relop.Emit) (engine.JoinOperator, error) {
-			return relop.NewHashJoin(relop.Semi, lineSchema, "l_orderkey", orderSchema, "o_orderkey", emit)
+			return relop.NewHashJoinSized(relop.Semi, lineSchema, "l_orderkey", orderSchema, "o_orderkey", buildHint, emit)
 		},
 		Build: func() (*relop.JoinBuild, error) {
 			return relop.NewJoinBuildSized(lineSchema, "l_orderkey", buildHint)
@@ -224,7 +224,8 @@ func q13Spec(db *DB, pageRows int) engine.QuerySpec {
 
 // outerJoinNode builds the Q13-shaped left-outer join node with its split
 // Build/Probe forms declared, so the build side is a shareable pivot.
-// buildHint pre-sizes the split build's hash table (zero = unsized).
+// buildHint pre-sizes the build's hash table, split or inside the unshared
+// join (zero = unsized).
 func outerJoinNode(name string, buildSchema, custSchema storage.Schema, buildIn, probeIn, buildHint int) engine.NodeSpec {
 	return engine.NodeSpec{
 		Name:        name,
@@ -232,7 +233,7 @@ func outerJoinNode(name string, buildSchema, custSchema storage.Schema, buildIn,
 		BuildInput:  buildIn,
 		ProbeInput:  probeIn,
 		Join: func(emit relop.Emit) (engine.JoinOperator, error) {
-			return relop.NewHashJoin(relop.LeftOuter, buildSchema, "o_custkey", custSchema, "c_custkey", emit)
+			return relop.NewHashJoinSized(relop.LeftOuter, buildSchema, "o_custkey", custSchema, "c_custkey", buildHint, emit)
 		},
 		Build: func() (*relop.JoinBuild, error) {
 			return relop.NewJoinBuildSized(buildSchema, "o_custkey", buildHint)

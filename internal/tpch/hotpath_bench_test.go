@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
 // BenchmarkSubmitPath measures the end-to-end submit path of a repeated
@@ -37,6 +38,39 @@ func BenchmarkSubmitPath(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkFamilyAlone runs variant 0 of each query family alone on an idle
+// 2-worker engine at SF 0.01, the unshared work the benchmark's alone
+// workload repeats. Besides allocs/op it reports pages/op, scan pages drawn
+// from the page pool per query: the count the page granule sets, and with it
+// the fixed per-page cost (quantum, queue hop, pool round trip) each query
+// pays on top of its row work.
+func BenchmarkFamilyAlone(b *testing.B) {
+	db := MustGenerate(Config{ScaleFactor: 0.01, Seed: 42})
+	e, err := engine.New(engine.Options{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for _, f := range Families() {
+		b.Run(f.Name, func(b *testing.B) {
+			spec := f.Spec(db, 0, 0)
+			b.ReportAllocs()
+			gets0, _, _ := storage.PagePoolStats()
+			for i := 0; i < b.N; i++ {
+				h, err := e.Submit(spec, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := h.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			gets1, _, _ := storage.PagePoolStats()
+			b.ReportMetric(float64(gets1-gets0)/float64(b.N), "pages/op")
 		})
 	}
 }
