@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-hotpath bench-e2e smoke-server fmt examples ci
+.PHONY: build test bench bench-hotpath bench-e2e fuzz smoke-server fmt examples ci
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ bench-hotpath:
 BENCH_ARGS ?=
 bench-e2e:
 	bash bench/run.sh $(BENCH_ARGS)
+
+# Fuzz the grouping aggregate against its row-at-a-time oracle for 15 s.
+# go test runs only the committed seed corpus
+# (internal/relop/testdata/fuzz/FuzzHashAgg); CI runs this step too.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzHashAgg$$' -fuzztime=15s ./internal/relop/
 
 # End-to-end server smoke: boot cordobad on a random port, drive ~100
 # open-loop queries, SIGTERM, assert a clean drain and a nonzero p99

@@ -90,6 +90,12 @@ func NewHashAggSized(in storage.Schema, groupBy []string, specs []AggSpec, hint 
 		switch sp.Func {
 		case Count:
 			t = storage.Int64
+			// Push never evaluates it (no input is null), so check it here.
+			if sp.Expr != nil {
+				if _, err := sp.Expr.Type(in); err != nil {
+					return nil, err
+				}
+			}
 		case Sum, Avg, Min, Max:
 			if sp.Expr == nil {
 				return nil, fmt.Errorf("%w: %s requires an expression", ErrType, sp.Func)
@@ -127,7 +133,8 @@ func (h *HashAgg) OutSchema() storage.Schema { return h.outSchema }
 func (h *HashAgg) ConsumesInput() bool { return true }
 
 // Push implements Operator: resolves the page to group ids, then folds each
-// aggregate's input into its accumulators with one loop per aggregate.
+// distinct accumulator's input with one loop per accumulator. An aggregate
+// whose sums or counts another owns evaluates and folds nothing of them.
 func (h *HashAgg) Push(b *storage.Batch) error {
 	if h.done {
 		return ErrFinished
@@ -139,43 +146,42 @@ func (h *HashAgg) Push(b *storage.Batch) error {
 	h.scratch.reset()
 	for i, sp := range h.tbl.specs {
 		acc := &h.tbl.accs[i]
-		var o operand
-		if sp.Expr != nil {
-			if o, err = operandOf(sp.Expr, b, &h.scratch); err != nil {
-				return err
-			}
+		if acc.counts != nil {
+			countRows(acc.counts, ids)
+		}
+		if acc.sums == nil && acc.mins == nil && acc.maxs == nil {
+			continue
+		}
+		o, err := operandOf(sp.Expr, b, &h.scratch)
+		if err != nil {
+			return err
 		}
 		switch {
-		case sp.Func == Count:
-			countRows(acc.counts, ids)
 		case o.konst:
 			xs := h.scratch.vector(storage.Float64, len(ids)).F64
 			c := o.float()
 			for r := range xs {
 				xs[r] = c
 			}
-			fold(acc, sp.Func, ids, xs)
+			fold(acc, ids, xs)
 		case o.typ == storage.Float64:
-			fold(acc, sp.Func, ids, o.vec.F64)
+			fold(acc, ids, o.vec.F64)
 		default:
-			fold(acc, sp.Func, ids, o.vec.I64)
+			fold(acc, ids, o.vec.I64)
 		}
 	}
 	return nil
 }
 
-// fold accumulates one aggregate's input column, converting each value to
-// float64 as it is read.
-func fold[T number](acc *aggAcc, f AggFunc, ids []int32, xs []T) {
-	switch f {
-	case Sum:
+// fold accumulates one aggregate's input column into the one value
+// accumulator it keeps, converting each value to float64 as it is read.
+func fold[T number](acc *aggAcc, ids []int32, xs []T) {
+	switch {
+	case acc.sums != nil:
 		addTo(acc.sums, ids, xs)
-	case Avg:
-		addTo(acc.sums, ids, xs)
-		countRows(acc.counts, ids)
-	case Min:
+	case acc.mins != nil:
 		minOf(acc.mins, ids, xs)
-	case Max:
+	case acc.maxs != nil:
 		maxOf(acc.maxs, ids, xs)
 	}
 }

@@ -84,6 +84,7 @@ type aggDiffCase struct {
 	name    string
 	keys    []storage.Column
 	pool    [][]any // per key column: the values rows draw from
+	later   [][]any // if set, the pools of every page after the first
 	groupBy []string
 	pages   []int // rows per page
 }
@@ -131,6 +132,24 @@ func aggDiffCases() []aggDiffCase {
 			groupBy: []string{"s", "k", "f", "t"}, pages: []int{200, 200}},
 		{name: "group-by order differs from column order", keys: []storage.Column{strCol, intCol},
 			pool: [][]any{{"x", "y"}, intPool(3, 30)}, groupBy: []string{"k", "s"}, pages: []int{33, 33}},
+		// String keys pack into one word while a row's lengths and bytes fit
+		// in 8 bytes: 1 + 7 fits, 1 + 8 does not.
+		{name: "string key of 7 bytes (packs)", keys: []storage.Column{strCol},
+			pool: [][]any{{"1-URGEN", "1-URGEM", "2-HIGH\x00", "3-MEDIU", "\x00\x00\x00\x00\x00\x00\x00", "\x00\x00\x00\x00\x00\x00\x01"}}, groupBy: []string{"s"}, pages: []int{60, 60}},
+		{name: "string key of 8 bytes (never packs)", keys: []storage.Column{strCol},
+			pool: [][]any{{"1-URGENT", "1-URGENS", "2-HIGH\x00\x00", "3-MEDIUM", "\x00\x00\x00\x00\x00\x00\x00\x00", "\x00\x00\x00\x00\x00\x00\x00\x01"}}, groupBy: []string{"s"}, pages: []int{60, 60}},
+		{name: "four one-byte string keys (exactly 8 bytes)",
+			keys: []storage.Column{strCol, {Name: "t", Type: storage.String}, {Name: "u", Type: storage.String}, {Name: "v", Type: storage.String}},
+			pool: [][]any{{"a", "b"}, {"a", "\x00"}, {"\x00", "c"}, {"b", "d"}}, groupBy: []string{"s", "t", "u", "v"}, pages: []int{90, 90}},
+		{name: "string keys with NULs and empty strings (packs)", keys: []storage.Column{strCol, {Name: "t", Type: storage.String}},
+			pool:    [][]any{{"", "\x00", "\x00\x00", "a\x00", "\x00a"}, {"", "\x00", "a"}},
+			groupBy: []string{"s", "t"}, pages: []int{100, 100}},
+		// The first page packs; later pages bring a key past 8 bytes, after
+		// which the packed groups keep recurring under their ids.
+		{name: "string keys demoted mid-stream", keys: []storage.Column{strCol, {Name: "t", Type: storage.String}},
+			pool:    [][]any{{"A", "N", "R"}, {"F", "O"}},
+			later:   [][]any{{"A", "N", "R", "RETURNED"}, {"F", "O", ""}},
+			groupBy: []string{"s", "t"}, pages: []int{40, 40, 40}},
 	}
 }
 
@@ -141,11 +160,15 @@ func (c aggDiffCase) build(rng *rand.Rand) (storage.Schema, []*storage.Batch) {
 		storage.Column{Name: "n", Type: storage.Int64})
 	schema := storage.MustSchema(cols...)
 	var pages []*storage.Batch
-	for _, rows := range c.pages {
+	for i, rows := range c.pages {
+		pools := c.pool
+		if i > 0 && c.later != nil {
+			pools = c.later
+		}
 		b := storage.NewBatch(schema, rows)
 		for r := 0; r < rows; r++ {
 			row := make([]any, 0, len(cols))
-			for _, pool := range c.pool {
+			for _, pool := range pools {
 				row = append(row, pool[rng.Intn(len(pool))])
 			}
 			// Values whose sums round differently in different orders.

@@ -14,8 +14,8 @@ import (
 // aggTable is the group table HashAgg and MergeHashAgg share. resolve turns a
 // page into a vector of dense group ids (assigned in first-seen order); the
 // operators then fold their inputs into the struct-of-arrays accumulators
-// with one loop per aggregate. See the package comment for the key encoding
-// and the ordering contracts.
+// with one loop per distinct accumulator. See the package comment for the key
+// encodings and the ordering contracts.
 type aggTable struct {
 	groupBy []string
 	specs   []AggSpec
@@ -26,6 +26,7 @@ type aggTable struct {
 	n    int // groups
 
 	ints   *intTable        // single integer/date key
+	packed *intTable        // 1–4 string keys, until a row's keys need more than 8 bytes
 	byKey  map[string]int32 // every other key shape, by encoded key
 	keyBuf []byte
 	ids    []int32
@@ -37,13 +38,24 @@ type aggTable struct {
 }
 
 // aggAcc is one aggregate's accumulators, indexed by group id. Only the
-// slices its AggFunc reads at emission are kept (non-nil) and updated.
+// slices its AggFunc reads at emission are kept (non-nil) and updated, and
+// only by their owner: sumOf and countOf index the aggregate whose sums and
+// counts this one reads — itself, or the first Sum/Avg over a structurally
+// equal input, or the first Count/Avg (every row counts, so all counts are
+// equal).
 type aggAcc struct {
 	sums   []float64
 	counts []int64
 	mins   []float64
 	maxs   []float64
+
+	sumOf, countOf int
 }
+
+// maxPackedKeys is the most string key columns the packed path takes. Each
+// column spends a length byte of the 8, so past four at most three bytes of
+// key text would remain and nearly every table would demote.
+const maxPackedKeys = 4
 
 func newAggTable(groupBy []string, keyCols []storage.Column, specs []AggSpec, hint int) *aggTable {
 	t := &aggTable{groupBy: groupBy, specs: specs, accs: make([]aggAcc, len(specs))}
@@ -54,19 +66,34 @@ func newAggTable(groupBy []string, keyCols []storage.Column, specs []AggSpec, hi
 	case len(keyCols) == 0:
 	case len(keyCols) == 1 && payloadOf(keyCols[0].Type) == storage.Int64:
 		t.ints = newIntTable(hint)
+	case len(keyCols) <= maxPackedKeys && !slices.ContainsFunc(keyCols, func(c storage.Column) bool { return c.Type != storage.String }):
+		t.packed = newIntTable(hint)
 	default:
 		t.byKey = make(map[string]int32, hint)
 	}
+	counter := -1 // the first aggregate that counts rows
 	for i, sp := range specs {
 		a := &t.accs[i]
+		a.sumOf, a.countOf = i, i
+		if sp.Func == Sum || sp.Func == Avg {
+			for j, o := range specs[:i] {
+				if (o.Func == Sum || o.Func == Avg) && exprEqual(o.Expr, sp.Expr) {
+					a.sumOf = t.accs[j].sumOf
+					break
+				}
+			}
+			if a.sumOf == i {
+				a.sums = make([]float64, 0, hint)
+			}
+		}
+		if sp.Func == Count || sp.Func == Avg {
+			if counter < 0 {
+				counter = i
+				a.counts = make([]int64, 0, hint)
+			}
+			a.countOf = counter
+		}
 		switch sp.Func {
-		case Sum:
-			a.sums = make([]float64, 0, hint)
-		case Count:
-			a.counts = make([]int64, 0, hint)
-		case Avg:
-			a.sums = make([]float64, 0, hint)
-			a.counts = make([]int64, 0, hint)
 		case Min:
 			a.mins = make([]float64, 0, hint)
 		case Max:
@@ -74,6 +101,30 @@ func newAggTable(groupBy []string, keyCols []storage.Column, specs []AggSpec, hi
 		}
 	}
 	return t
+}
+
+// exprEqual reports whether two aggregate inputs are the same expression
+// tree, so that one sum serves both. Unlike ExprEqual it never falls back to
+// reflection and compares float literals by bit pattern: a false share would
+// hand one aggregate another's sum, so any Expr outside the four standard
+// kinds is unequal even to itself. It does not allocate.
+func exprEqual(a, b Expr) bool {
+	switch x := a.(type) {
+	case ColRef:
+		y, ok := b.(ColRef)
+		return ok && x.Name == y.Name
+	case ConstInt:
+		y, ok := b.(ConstInt)
+		return ok && x.V == y.V
+	case ConstFloat:
+		y, ok := b.(ConstFloat)
+		return ok && math.Float64bits(x.V) == math.Float64bits(y.V)
+	case Arith:
+		y, ok := b.(Arith)
+		return ok && x.Op == y.Op && exprEqual(x.L, y.L) && exprEqual(x.R, y.R)
+	default:
+		return false
+	}
 }
 
 // payloadOf maps a column type to the type naming its payload slice (Date
@@ -122,31 +173,91 @@ func (t *aggTable) resolve(b *storage.Batch) ([]int32, error) {
 			}
 			ids[r] = id
 		}
-	default:
-		buf := t.keyBuf
+	case t.packed != nil:
 		for r := range ids {
-			buf = buf[:0]
-			for _, v := range cols {
-				switch v.Type {
-				case storage.Int64, storage.Date:
-					buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[r]))
-				case storage.Float64:
-					buf = binary.LittleEndian.AppendUint64(buf, floatKeyBits(v.F64[r]))
-				case storage.String:
-					buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[r])))
-					buf = append(buf, v.Str[r]...)
-				}
-			}
-			id, ok := t.byKey[string(buf)]
+			k, ok := packKeys(cols, r)
 			if !ok {
-				id = t.addGroup(cols, r)
-				t.byKey[string(buf)] = id
+				t.demote()
+				t.resolveEncoded(cols, ids, r)
+				break
+			}
+			id, added := t.packed.findOrAdd(int64(k))
+			if added {
+				t.addGroup(cols, r)
 			}
 			ids[r] = id
 		}
-		t.keyBuf = buf
+	default:
+		t.resolveEncoded(cols, ids, 0)
 	}
 	return ids, nil
+}
+
+// packKeys packs row r's string keys into one word, low byte first: per
+// column a length byte, then the bytes; the bytes left over stay zero. ok is
+// false when the keys need more than 8 bytes.
+func packKeys(cols []*storage.Vector, r int) (k uint64, ok bool) {
+	used := 0
+	for _, v := range cols {
+		s := v.Str[r]
+		if used+1+len(s) > 8 {
+			return 0, false
+		}
+		k |= uint64(len(s)) << (8 * used)
+		used++
+		for i := 0; i < len(s); i++ {
+			k |= uint64(s[i]) << (8 * used)
+			used++
+		}
+	}
+	return k, true
+}
+
+// demote moves a packed table to the encoded-key map for good, re-keying the
+// groups seen so far under the ids they already have.
+func (t *aggTable) demote() {
+	t.byKey = make(map[string]int32, t.n)
+	for g := 0; g < t.n; g++ {
+		buf := t.keyBuf[:0]
+		for c := range t.keys {
+			buf = appendKey(buf, &t.keys[c], g)
+		}
+		t.byKey[string(buf)] = int32(g)
+		t.keyBuf = buf
+	}
+	t.packed = nil
+}
+
+// resolveEncoded resolves rows from, from+1, … of cols through the
+// encoded-key map, writing their ids into ids.
+func (t *aggTable) resolveEncoded(cols []*storage.Vector, ids []int32, from int) {
+	buf := t.keyBuf
+	for r := from; r < len(ids); r++ {
+		buf = buf[:0]
+		for _, v := range cols {
+			buf = appendKey(buf, v, r)
+		}
+		id, ok := t.byKey[string(buf)]
+		if !ok {
+			id = t.addGroup(cols, r)
+			t.byKey[string(buf)] = id
+		}
+		ids[r] = id
+	}
+	t.keyBuf = buf
+}
+
+// appendKey appends the encoding of row r of one key column to buf.
+func appendKey(buf []byte, v *storage.Vector, r int) []byte {
+	switch v.Type {
+	case storage.Int64, storage.Date:
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.I64[r]))
+	case storage.Float64:
+		return binary.LittleEndian.AppendUint64(buf, floatKeyBits(v.F64[r]))
+	default:
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[r])))
+		return append(buf, v.Str[r]...)
+	}
 }
 
 // floatKeyBits is the key encoding of a float: its IEEE bits, with every NaN
@@ -273,6 +384,11 @@ func (t *aggTable) emitPages(outSchema storage.Schema, emit Emit, cols func(vecs
 	return nil
 }
 
+// sumsOf and countsOf return the sums and counts aggregate i reads, which
+// its owner keeps.
+func (t *aggTable) sumsOf(i int) []float64 { return t.accs[t.accs[i].sumOf].sums }
+func (t *aggTable) countsOf(i int) []int64 { return t.accs[t.accs[i].countOf].counts }
+
 func gatherFloats(src []float64, idx []int) storage.Vector {
 	return storage.Vector{Type: storage.Float64, F64: src}.Gather(idx)
 }
@@ -295,14 +411,15 @@ func (t *aggTable) emitFinalRows(outSchema storage.Schema, emit Emit) error {
 			a := &t.accs[i]
 			switch sp.Func {
 			case Sum:
-				vecs = append(vecs, gatherFloats(a.sums, chunk))
+				vecs = append(vecs, gatherFloats(t.sumsOf(i), chunk))
 			case Count:
-				vecs = append(vecs, gatherInts(a.counts, chunk))
+				vecs = append(vecs, gatherInts(t.countsOf(i), chunk))
 			case Avg:
+				sums, counts := t.sumsOf(i), t.countsOf(i)
 				avg := make([]float64, len(chunk))
 				for j, g := range chunk {
-					if a.counts[g] != 0 {
-						avg[j] = a.sums[g] / float64(a.counts[g])
+					if counts[g] != 0 {
+						avg[j] = sums[g] / float64(counts[g])
 					}
 				}
 				vecs = append(vecs, storage.Vector{Type: storage.Float64, F64: avg})

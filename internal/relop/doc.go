@@ -18,25 +18,41 @@
 // hold them against row-at-a-time oracles (oracle_test.go, NLJoin).
 //
 // Group keys. HashAgg and MergeHashAgg resolve each page to a vector of dense
-// group ids, assigned in first-seen order, and then fold one aggregate at a
-// time into accumulators indexed by id. A single Int64/Date key is looked up
-// in an open-addressed integer table; an empty key list is group 0 with no
-// lookup; every other key shape is encoded per row into a reused byte buffer
-// — 8 little-endian bytes per integer or date, the 8 IEEE-754 bytes per
-// float (all NaNs folded to one pattern, +0 and -0 kept apart), a 4-byte
-// length and the bytes per string — and looked up as a string-keyed map
-// entry, which allocates only on the first sight of a group. The encoding is
-// injective, and the length prefix keeps adjacent columns from running into
-// each other.
+// group ids, assigned in first-seen order, and then fold one accumulator at a
+// time into slices indexed by id. A key is looked up one of three ways. An
+// empty key list is group 0 with no lookup, and a single Int64/Date key goes
+// to an open-addressed integer table. One to four String keys pack into one
+// uint64 looked up in a second such table: per column, in group-by order, a
+// length byte and then the bytes, low byte first, with the bytes left over
+// zero. Read from the low end, the length bytes say where each column ends,
+// so while a row's keys fit in 8 bytes two rows pack alike exactly when their
+// keys are equal. The first row that does not fit demotes the table for good:
+// the groups seen so far are re-keyed, under the ids they already have, into
+// the map every other key shape uses. That map is keyed by an encoding built
+// per row in a reused byte buffer — 8 little-endian bytes per integer or
+// date, the 8 IEEE-754 bytes per float (all NaNs folded to one pattern, +0
+// and -0 kept apart), a 4-byte length and the bytes per string — and
+// allocates only on the first sight of a group. That encoding is injective
+// too, the length prefix keeping adjacent columns from running into each
+// other.
+//
+// Shared accumulators. Aggregates whose inputs are the same expression tree
+// (Sum(x) and Avg(x)) share one sum, and every Count and Avg shares one row
+// count, since no input is ever null. Only the first of each kind keeps and
+// folds the accumulator, and the others read it at emission, so each
+// distinct input is evaluated and folded once per page. The shared sum sees
+// the same values in the same order each aggregate's own would, so the
+// results are bit-identical. A partial aggregate emits the shared state under
+// every aggregate that reads it, and the merge folds the owner's column.
 //
 // Emission order. Groups are emitted in ascending order of their canonical
 // rendering, the concatenation of i%d| , f%g| or s%q| per key column. That
 // string was once the per-row hash key; it is now rendered only at Finish,
 // once per group and into one shared buffer, because it defines the output
 // order every consumer and every stored reference result was produced under
-// (so 10 sorts before 2, and negative numbers by their digits). Two keys share a rendering exactly when
-// they share an encoding, so grouping is unchanged. The key values emitted
-// for a group are those of its first row.
+// (so 10 sorts before 2, and negative numbers by their digits). Two keys
+// share a rendering exactly when they share an encoding, so grouping is
+// unchanged. The key values emitted for a group are those of its first row.
 //
 // Accumulation order. Within a page rows fold in row order, and pages in
 // Push order, so each group's accumulators see its inputs in arrival order

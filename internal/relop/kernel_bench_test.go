@@ -34,7 +34,8 @@ func q1Expr() (discPrice, charge Expr) {
 	return discPrice, charge
 }
 
-func q1Pages(b *testing.B) (storage.Schema, []*storage.Batch) {
+// q1Pages generates Q1's scan output with the given l_returnflag values.
+func q1Pages(b *testing.B, flags ...string) (storage.Schema, []*storage.Batch) {
 	schema := storage.MustSchema(
 		storage.Column{Name: "flag", Type: storage.String},
 		storage.Column{Name: "status", Type: storage.String},
@@ -44,15 +45,27 @@ func q1Pages(b *testing.B) (storage.Schema, []*storage.Batch) {
 		storage.Column{Name: "tax", Type: storage.Float64},
 	)
 	rng := rand.New(rand.NewSource(1))
-	flags, statuses := []string{"A", "N", "R"}, []string{"F", "O"}
+	statuses := []string{"F", "O"}
 	return schema, benchPages(b, schema, kernelBenchRows, func(int) []any {
-		return []any{flags[rng.Intn(3)], statuses[rng.Intn(2)], float64(1 + rng.Intn(50)), 900 + 1e5*rng.Float64(), float64(rng.Intn(11)) / 100, float64(rng.Intn(9)) / 100}
+		return []any{flags[rng.Intn(len(flags))], statuses[rng.Intn(2)], float64(1 + rng.Intn(50)), 900 + 1e5*rng.Float64(), float64(rng.Intn(11)) / 100, float64(rng.Intn(9)) / 100}
 	})
 }
 
 func BenchmarkHashAggPush(b *testing.B) {
 	discPrice, charge := q1Expr()
-	q1Schema, q1 := q1Pages(b)
+	q1Schema, q1 := q1Pages(b, "A", "N", "R")
+	// Flags past the 8 bytes a packed key holds: the encoded-key map.
+	_, q1Long := q1Pages(b, "ACCEPTED", "NONE", "RETURNED")
+	q1Specs := []AggSpec{
+		{Func: Sum, Expr: Col("qty"), As: "sum_qty"},
+		{Func: Sum, Expr: Col("extprice"), As: "sum_base_price"},
+		{Func: Sum, Expr: discPrice, As: "sum_disc_price"},
+		{Func: Sum, Expr: charge, As: "sum_charge"},
+		{Func: Avg, Expr: Col("qty"), As: "avg_qty"},
+		{Func: Avg, Expr: Col("extprice"), As: "avg_price"},
+		{Func: Avg, Expr: Col("disc"), As: "avg_disc"},
+		{Func: Count, As: "count_order"},
+	}
 	custSchema := storage.MustSchema(
 		storage.Column{Name: "custkey", Type: storage.Int64},
 		storage.Column{Name: "one", Type: storage.Int64},
@@ -66,16 +79,9 @@ func BenchmarkHashAggPush(b *testing.B) {
 		groupBy []string
 		specs   []AggSpec
 	}{
-		{"q1-two-string-keys", q1Schema, q1, []string{"flag", "status"}, []AggSpec{
-			{Func: Sum, Expr: Col("qty"), As: "sum_qty"},
-			{Func: Sum, Expr: Col("extprice"), As: "sum_base_price"},
-			{Func: Sum, Expr: discPrice, As: "sum_disc_price"},
-			{Func: Sum, Expr: charge, As: "sum_charge"},
-			{Func: Avg, Expr: Col("qty"), As: "avg_qty"},
-			{Func: Avg, Expr: Col("extprice"), As: "avg_price"},
-			{Func: Avg, Expr: Col("disc"), As: "avg_disc"},
-			{Func: Count, As: "count_order"},
-		}},
+		{"q1-two-string-keys", q1Schema, q1, []string{"flag", "status"}, q1Specs},
+		{"q1-rollup-one-string-key", q1Schema, q1, []string{"flag"}, q1Specs},
+		{"string-keys-past-8-bytes", q1Schema, q1Long, []string{"flag", "status"}, q1Specs},
 		{"q13-1500-int-groups", custSchema, cust, []string{"custkey"}, []AggSpec{{Func: Sum, Expr: Col("one"), As: "c_count"}}},
 		{"q6-global", q1Schema, q1, nil, []AggSpec{{Func: Sum, Expr: Arith{Op: Mul, L: Col("extprice"), R: Col("disc")}, As: "revenue"}}},
 	} {
@@ -108,7 +114,7 @@ func BenchmarkHashAggPush(b *testing.B) {
 // way an operator does: intermediates in scratch that is reused across pages.
 func BenchmarkArithEval(b *testing.B) {
 	_, charge := q1Expr()
-	_, pages := q1Pages(b)
+	_, pages := q1Pages(b, "A", "N", "R")
 	var sc exprScratch
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -74,15 +74,15 @@ func (t *aggTable) emitPartialState(outSchema storage.Schema, emit Emit) error {
 			a := &t.accs[i]
 			switch sp.Func {
 			case Count:
-				vecs = append(vecs, gatherInts(a.counts, chunk))
+				vecs = append(vecs, gatherInts(t.countsOf(i), chunk))
 			case Sum:
-				vecs = append(vecs, gatherFloats(a.sums, chunk))
+				vecs = append(vecs, gatherFloats(t.sumsOf(i), chunk))
 			case Min:
 				vecs = append(vecs, gatherFloats(a.mins, chunk))
 			case Max:
 				vecs = append(vecs, gatherFloats(a.maxs, chunk))
 			case Avg:
-				vecs = append(vecs, gatherFloats(a.sums, chunk), gatherInts(a.counts, chunk))
+				vecs = append(vecs, gatherFloats(t.sumsOf(i), chunk), gatherInts(t.countsOf(i), chunk))
 			}
 		}
 		return vecs
@@ -145,24 +145,27 @@ func (m *MergeHashAgg) Push(b *storage.Batch) error {
 	if err != nil {
 		return err
 	}
+	// Aggregates that share an owner carry equal state columns (the partial
+	// side emits the owner's), so only the owner's column is folded.
 	ci := len(m.tbl.groupBy)
 	for i, sp := range m.tbl.specs {
 		acc := &m.tbl.accs[i]
-		state := &b.Vecs[ci]
+		state, count := &b.Vecs[ci], &b.Vecs[ci]
 		ci++
 		switch sp.Func {
-		case Count:
-			addTo(acc.counts, ids, state.I64)
-		case Sum:
-			addTo(acc.sums, ids, state.F64)
 		case Min:
 			minOf(acc.mins, ids, state.F64)
 		case Max:
 			maxOf(acc.maxs, ids, state.F64)
 		case Avg:
-			addTo(acc.sums, ids, state.F64)
-			addTo(acc.counts, ids, b.Vecs[ci].I64)
+			count = &b.Vecs[ci]
 			ci++
+		}
+		if acc.sums != nil {
+			addTo(acc.sums, ids, state.F64)
+		}
+		if acc.counts != nil {
+			addTo(acc.counts, ids, count.I64)
 		}
 	}
 	return nil

@@ -15,7 +15,9 @@ import "repro/internal/core"
 //     hand tiny aggregates upward, so s is small relative to the eliminated
 //     work and sharing always wins (up to ~30x on 1 CPU at 48 clients).
 //
-// EXPERIMENTS.md records these substitutions alongside the measured curves.
+// These coefficients are set by hand, not fitted to this engine; they predate
+// the current kernels and page size. Fitting them at set-up from
+// profile.MeasureEngine runs is ROADMAP.md's item 3.
 
 // Model returns the calibrated analytical model for the query, compiled
 // against its sharing pivot (scan for Q1/Q6, join for Q4/Q13).
