@@ -31,11 +31,14 @@ BENCH_ARGS ?=
 bench-e2e:
 	bash bench/run.sh $(BENCH_ARGS)
 
-# Fuzz the grouping aggregate against its row-at-a-time oracle for 15 s.
-# go test runs only the committed seed corpus
-# (internal/relop/testdata/fuzz/FuzzHashAgg); CI runs this step too.
+# Fuzz the grouping aggregate against its row-at-a-time oracle, then
+# back-to-back pooled hash joins against the nested-loop join, 15 s each.
+# go test runs only the committed seed corpora
+# (internal/relop/testdata/fuzz/FuzzHashAgg and FuzzJoin); CI runs this
+# step too.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashAgg$$' -fuzztime=15s ./internal/relop/
+	$(GO) test -run='^$$' -fuzz='^FuzzJoin$$' -fuzztime=15s ./internal/relop/
 
 # End-to-end server smoke: boot cordobad on a random port, drive ~100
 # open-loop queries, SIGTERM, assert a clean drain and a nonzero p99

@@ -50,6 +50,12 @@ type buildShare struct {
 	// share claims a reader mark (the owner's group holds the table's base
 	// ownership), so claim accounting stays balanced across engines.
 	foreign bool
+	// recycle marks a share whose table returns to its store pool at the
+	// last release (see releaseProber): set when the engine has no
+	// keep-alive cache, so nothing can hold the table past its probers.
+	// Foreign shares never set it: the owner's share recycles, or nobody
+	// does, since other shards may still be probing.
+	recycle bool
 	// onSeal runs once just before the build seals (the engine counts
 	// executed builds through it).
 	onSeal func()
@@ -103,14 +109,26 @@ func (bs *buildShare) attachProber() bool {
 // retires the exchange entry; the engine prunes the retired group from its
 // joinable map lazily — at the next probe of the key or the next
 // SweepExchange — so retirement never needs the engine lock.
+//
+// The release that retires the state is also the one point where no reader
+// of the table can remain, so a recycling share hands the table's storage
+// back to its pool there. Only that release counts: a state retired by
+// failShare, a sweep or an owner Retire may still have probers reading the
+// table (Retire's contract lets them), so its later releases recycle
+// nothing. A prober that won the race to attach between the last release
+// and the retirement keeps a reference, which the Refs check sees; once
+// Release returns, the state is retired and no prober can attach.
 func (bs *buildShare) releaseProber() {
 	bs.mu.Lock()
 	bs.probers--
-	if bs.table != nil {
-		bs.table.Rows().Release()
+	tbl := bs.table
+	if tbl != nil {
+		tbl.Rows().Release()
 	}
 	bs.mu.Unlock()
-	bs.state.Release()
+	if bs.state.Release() && bs.recycle && tbl != nil && bs.state.Refs() == 0 {
+		tbl.Recycle()
+	}
 }
 
 // seal counts the build, then publishes the built table: marks the pre-seal
@@ -262,6 +280,11 @@ type buildCollectorTask struct {
 }
 
 func (bt *buildCollectorTask) step(t *Task) Status {
+	if !bt.bs.recycle {
+		// The table may go to the keep-alive cache, which charges its
+		// FootprintBytes: it must not pin a pooled store's capacity.
+		bt.jb.FreshStorage()
+	}
 	b, ok, done := bt.in.TryPop(t)
 	switch {
 	case ok:

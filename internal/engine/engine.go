@@ -1154,7 +1154,7 @@ func (e *Engine) nodeTask(nd NodeSpec, qOf func(int) *PageQueue, ob *outbox, fai
 // build-state share key of the subtree at opt.Pivot (already canonicalized
 // by the caller's compile artifact). Caller holds e.mu.
 func (e *Engine) newBuildShareLocked(g *shareGroup, key string, opt PivotOption, epoch uint64) *buildShare {
-	bs := &buildShare{key: key, pivot: opt.Pivot, state: e.scans.PublishBuildState(key)}
+	bs := &buildShare{key: key, pivot: opt.Pivot, state: e.scans.PublishBuildState(key), recycle: e.cache == nil}
 	bs.onSeal = func() {
 		e.mu.Lock()
 		e.hashBuilds++

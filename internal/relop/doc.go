@@ -69,6 +69,28 @@
 // probe row to its key id and output row count, then fills the output one
 // column at a time, run by run. FootprintBytes is fixed at seal.
 //
+// Build storage. A build's row vectors, key table, offsets, row ids and
+// per-row key ids form one store, kept in a sync.Pool per build layout (the
+// build schema's column types). A JoinBuild takes a store at its first Push,
+// where it also applies its row hint; a recycled store keeps its capacity
+// and its key table keeps its slots, so a warm build no larger than an
+// earlier one of its layout allocates nothing and never regrows. The sealed
+// HashTable owns the store until Recycle hands it back and nils the table's
+// slices, so a late read panics rather than seeing the next build's rows.
+// Storage is recycled at exactly two points, each the one moment no reader
+// can remain: HashJoin.Finish for a private join, after its own probe, unless
+// Table or MatchCounts handed the table out; and, in the engine, the release
+// of a shared build's last prober when that release retires the build state
+// and the engine has no keep-alive cache. Every other table is left to the
+// garbage collector. A table retired by a failure, a sweep or its owner may
+// still have probers reading it, since retirement ends only discoverability.
+// A table the cache holds outlives every prober. A table taken from a bare
+// JoinBuild.Table has readers nobody tracks. A build whose table may enter
+// the cache allocates fresh storage (JoinBuild.FreshStorage), because the
+// cache charges FootprintBytes and must not pin a larger store's capacity.
+// The pools keep only what the garbage collector leaves them; there is no
+// size cap to tune.
+//
 // Scratch ownership. Expression intermediates live in scratch vectors owned
 // by the evaluating operator and recycled at the top of its next Push: a
 // value obtained while handling one page must not be read after the next

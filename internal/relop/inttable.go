@@ -71,6 +71,14 @@ func (t *intTable) findOrAdd(k int64) (id int32, added bool) {
 	}
 }
 
+// reset empties the table for reuse, keeping its slots: a recycled key table
+// starts at the size its last use grew it to, so a build no larger than that
+// one never regrows it.
+func (t *intTable) reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
 func (t *intTable) grow() { t.resize(2 * len(t.slots)) }
 
 // resize rehashes the table into size slots (a power of two).

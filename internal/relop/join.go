@@ -2,6 +2,8 @@ package relop
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/storage"
 )
@@ -50,6 +52,13 @@ func (k JoinKind) String() string {
 // The index is flat: keys maps each distinct key to a dense key id, and
 // rowIDs[offsets[id]:offsets[id+1]] lists that key's build rows in insertion
 // order (compressed sparse rows, filled by a stable counting pass at seal).
+//
+// The table owns its build's store — the row vectors, the key table and the
+// index — and Recycle hands that store back to its layout's pool for the
+// next build. Whoever knows that no reader remains calls it: HashJoin.Finish
+// for a private join whose table never escaped, and the engine at the last
+// release of a shared build. A table nobody recycles is reclaimed by the
+// garbage collector like any other value.
 type HashTable struct {
 	schema    storage.Schema
 	key       string
@@ -59,6 +68,8 @@ type HashTable struct {
 	offsets   []int32
 	rowIDs    []int
 	footprint int64
+	store     *buildStore
+	pool      *sync.Pool
 }
 
 // Schema returns the build-side schema.
@@ -100,6 +111,66 @@ func (t *HashTable) MatchCounts(probeKeys []int64) []int64 {
 	return out
 }
 
+// Recycle returns the table's storage to its layout's pool and nils the
+// table's slices, so a read after recycling fails loudly instead of seeing
+// the next build's rows. The caller guarantees that no reader remains: no
+// probe attached to the table, and no alias of Rows or Matches, may be used
+// again. Recycling twice is a no-op.
+func (t *HashTable) Recycle() {
+	st := t.store
+	if st == nil {
+		return
+	}
+	t.store = nil
+	for i := range st.vecs {
+		v := &st.vecs[i]
+		switch v.Type {
+		case storage.Int64, storage.Date:
+			v.I64 = v.I64[:0]
+		case storage.Float64:
+			v.F64 = v.F64[:0]
+		case storage.String:
+			// Drop the string references so a pooled store does not pin
+			// the payloads of the rows it once held.
+			clear(v.Str)
+			v.Str = v.Str[:0]
+		}
+	}
+	t.rows.Vecs, t.keys, t.offsets, t.rowIDs = nil, nil, nil, nil
+	t.pool.Put(st)
+}
+
+// buildStore is the storage one hash-join build fills and its sealed table
+// then owns: the row vectors, the key table, and the flat index. A recycled
+// store keeps every slice's capacity, so a build no larger than one its
+// layout has seen before allocates nothing.
+type buildStore struct {
+	vecs    []storage.Vector
+	keys    intTable
+	offsets []int32
+	rowIDs  []int
+	rowKey  []int32
+}
+
+// storePools holds one sync.Pool of *buildStore per build layout, keyed by
+// the build schema's column types: any build of that layout can fill any of
+// its stores. The pools' garbage-collector-driven eviction bounds how much
+// they keep.
+var storePools sync.Map
+
+// storePool returns the pool of build stores for schema's layout.
+func storePool(schema storage.Schema) *sync.Pool {
+	layout := make([]byte, len(schema.Cols))
+	for i, c := range schema.Cols {
+		layout[i] = byte(c.Type)
+	}
+	if p, ok := storePools.Load(string(layout)); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := storePools.LoadOrStore(string(layout), new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
 // JoinBuild is the stop-&-go build phase of a hash join, split out so the
 // engine can run one build for a whole group of join queries: Push every
 // build-side batch, Finish, then hand Table to each prober.
@@ -112,7 +183,10 @@ type JoinBuild struct {
 	// constructed at submit, under the engine's lock, and the reservation
 	// zeroes memory in proportion to it, so it waits for a worker.
 	reserve int
-	done    bool
+	// fresh makes the build allocate its store instead of taking a pooled
+	// one (see FreshStorage).
+	fresh bool
+	done  bool
 }
 
 // NewJoinBuild constructs a build over the given schema keyed on buildKey.
@@ -130,6 +204,10 @@ func NewJoinBuild(build storage.Schema, buildKey string) (*JoinBuild, error) {
 // table is cached.
 // The hint is advisory — zero (or a wrong estimate) only costs the usual
 // incremental growth, never correctness.
+//
+// The first Push takes the build's store from the pool of its layout when
+// one is there, so a warm build reuses the storage of a recycled table
+// (HashTable.Recycle) and allocates only what it needs beyond it.
 func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBuild, error) {
 	bi, err := build.Index(buildKey)
 	if err != nil {
@@ -143,20 +221,62 @@ func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBu
 	}
 	return &JoinBuild{
 		tbl: &HashTable{
-			schema:  build,
-			key:     buildKey,
-			keyIdx:  bi,
-			rows:    storage.NewBatch(build, 0),
-			keys:    newIntTable(0),
-			offsets: make([]int32, 2),
+			schema: build,
+			key:    buildKey,
+			keyIdx: bi,
+			rows:   &storage.Batch{Schema: build},
+			pool:   storePool(build),
 		},
 		reserve: hint,
 	}, nil
 }
 
+// FreshStorage makes the build allocate its own store rather than take a
+// pooled one. The engine asks for it when the sealed table may be handed to
+// the keep-alive cache: the cache charges FootprintBytes against its budget,
+// so a cached table must not pin the capacity of a larger build's store.
+// It takes effect only before the first Push (or an empty build's Finish).
+func (jb *JoinBuild) FreshStorage() { jb.fresh = true }
+
 // OutSchema implements Operator (the build "emits" nothing; the schema is
 // the build side's, for fan-in adapters).
 func (jb *JoinBuild) OutSchema() storage.Schema { return jb.tbl.schema }
+
+// takeStore gives the table its store, reset and sized to the hint: a
+// pooled one unless the build asked for fresh storage, else a new one.
+func (jb *JoinBuild) takeStore() {
+	t, n := jb.tbl, jb.reserve
+	var st *buildStore
+	if !jb.fresh {
+		st, _ = t.pool.Get().(*buildStore)
+	}
+	if st == nil {
+		st = &buildStore{vecs: make([]storage.Vector, len(t.schema.Cols))}
+		for i, c := range t.schema.Cols {
+			st.vecs[i] = storage.NewVector(c.Type, n)
+		}
+		st.keys.resize(16)
+	} else {
+		for i := range st.vecs {
+			v := &st.vecs[i]
+			switch v.Type {
+			case storage.Int64, storage.Date:
+				v.I64 = slices.Grow(v.I64, n)
+			case storage.Float64:
+				v.F64 = slices.Grow(v.F64, n)
+			case storage.String:
+				v.Str = slices.Grow(v.Str, n)
+			}
+		}
+		st.keys.reset()
+	}
+	t.store = st
+	t.rows.Vecs = st.vecs
+	t.keys = &st.keys
+	t.offsets = append(st.offsets[:0], 0, 0)
+	jb.rowKey = slices.Grow(st.rowKey[:0], n)
+	jb.reserve = 0
+}
 
 // Push implements Operator: appends one build-side batch column by column
 // and resolves its keys to dense ids.
@@ -169,10 +289,8 @@ func (jb *JoinBuild) Push(b *storage.Batch) error {
 		return err
 	}
 	t := jb.tbl
-	if jb.reserve > 0 {
-		t.rows = storage.NewBatch(t.schema, jb.reserve)
-		jb.rowKey = make([]int32, 0, jb.reserve)
-		jb.reserve = 0
+	if t.store == nil {
+		jb.takeStore()
 	}
 	t.rows.AppendBatch(b)
 	// Until Finish, offsets[id+2] counts the rows of key id.
@@ -195,18 +313,25 @@ func (jb *JoinBuild) Finish() error {
 	}
 	jb.done = true
 	t := jb.tbl
+	if t.store == nil {
+		jb.takeStore()
+	}
 	// The running sum leaves key id's start position in offsets[id+1]; the
 	// scatter advances it to the key's end, which is where offsets[id+1]
 	// belongs: the start of key id+1.
 	for i := 1; i < len(t.offsets); i++ {
 		t.offsets[i] += t.offsets[i-1]
 	}
-	t.rowIDs = make([]int, len(jb.rowKey))
+	st := t.store
+	st.rowIDs = slices.Grow(st.rowIDs[:0], len(jb.rowKey))[:len(jb.rowKey)]
+	t.rowIDs = st.rowIDs
 	for row, id := range jb.rowKey {
 		t.rowIDs[t.offsets[id+1]] = row
 		t.offsets[id+1]++
 	}
+	st.offsets = t.offsets
 	t.offsets = t.offsets[:len(t.offsets)-1]
+	st.rowKey = jb.rowKey[:0]
 	jb.rowKey = nil
 	t.footprint = int64(t.rows.EstimatedBytes()) + 16*int64(t.keys.Len()) + 8*int64(len(t.rowIDs))
 	return nil
@@ -216,7 +341,9 @@ func (jb *JoinBuild) Finish() error {
 func (jb *JoinBuild) ConsumesInput() bool { return true }
 
 // Table returns the sealed table; it panics before Finish (an unsealed
-// table is mutable and must not escape).
+// table is mutable and must not escape). The caller owns the table's
+// storage from here: it may Recycle the table once no reader remains, or
+// leave it to the garbage collector.
 func (jb *JoinBuild) Table() *HashTable {
 	if !jb.done {
 		panic("relop: JoinBuild.Table before Finish")
@@ -426,10 +553,15 @@ func (h *HashJoinProbe) ConsumesInput() bool { return true }
 // classic single-query composition of the split build/probe phases. The
 // build phase is stop-&-go (Section 5.3.3): call PushBuild for every build
 // batch, then FinishBuild (which seals the table and attaches the probe),
-// then stream the probe side through Push/Finish.
+// then stream the probe side through Push/Finish. Its own probe is the
+// table's only reader, so Finish recycles the table — unless Table or
+// MatchCounts handed it out first.
 type HashJoin struct {
 	build *JoinBuild
 	probe *HashJoinProbe
+	// escaped records that Table or MatchCounts handed the table out, so
+	// Finish must leave it readable.
+	escaped bool
 }
 
 // NewHashJoin constructs a hash join of the given kind.
@@ -475,14 +607,28 @@ func (h *HashJoin) Push(b *storage.Batch) error {
 	return h.probe.Push(b)
 }
 
-// Finish implements Operator.
-func (h *HashJoin) Finish() error { return h.probe.Finish() }
+// Finish implements Operator: the probe has read its last page, so a sealed
+// table that never escaped goes back to its pool.
+func (h *HashJoin) Finish() error {
+	if err := h.probe.Finish(); err != nil {
+		return err
+	}
+	if h.build.done && !h.escaped {
+		h.build.tbl.Recycle()
+	}
+	return nil
+}
 
 // ConsumesInput reports that both phases copy what they need per batch.
 func (h *HashJoin) ConsumesInput() bool { return true }
 
-// Table returns the sealed hash table (valid after FinishBuild).
-func (h *HashJoin) Table() *HashTable { return h.build.Table() }
+// Table returns the sealed hash table (valid after FinishBuild). A table
+// handed out here is never recycled: Finish cannot know when the caller is
+// done with it.
+func (h *HashJoin) Table() *HashTable {
+	h.escaped = true
+	return h.build.Table()
+}
 
 // BuildFanIn adapts the build side to the Operator interface so a producer
 // can Push/Finish into it like any other consumer.
@@ -497,7 +643,7 @@ func (b *buildSide) Finish() error               { return b.h.FinishBuild() }
 // MatchCounts returns, for each key in probeKeys, how many build rows match
 // (valid after FinishBuild).
 func (h *HashJoin) MatchCounts(probeKeys []int64) []int64 {
-	return h.build.Table().MatchCounts(probeKeys)
+	return h.Table().MatchCounts(probeKeys)
 }
 
 // NLJoin is a (block) nested-loop join: the inner side is fully

@@ -17,9 +17,11 @@ package tpch
 //   - each order carries 1 + intn(7) lineitems — mean 4;
 //   - l_commitdate - o_orderdate is uniform [30, 90] while l_receiptdate -
 //     o_orderdate is the sum of uniform [1, 121] and [1, 30] (mean ≈ 77,
-//     wide spread), so P(commit < receipt) ≈ 0.6;
-//   - about 1 comment in 33 contains "special … requests", so Q13's NOT LIKE
-//     filter keeps ≈ 32/33 of orders;
+//     wide spread), so P(commit < receipt) is exactly 153/242 ≈ 0.632;
+//   - 1 comment in 33 places "special" at a uniform one of its 3–7 words,
+//     followed by "requests" unless "special" is the last word, so Q13's NOT
+//     LIKE filter keeps exactly 22553/23100 ≈ 0.976 of orders (not 32/33:
+//     a trailing "special" still passes);
 //   - o_orderdate is uniform over [DateEpochStart, DateOrderEnd], so a date
 //     window keeps its fractional share of orders;
 //   - o_orderpriority is uniform over the 5 priorities.
@@ -30,10 +32,10 @@ const (
 	avgLineitemsPerOrder = 4.0
 	// lateCommitSelectivity is P(l_commitdate < l_receiptdate) under the
 	// generator's date offsets — Q4's build-side filter.
-	lateCommitSelectivity = 0.6
+	lateCommitSelectivity = 153.0 / 242.0
 	// nonSpecialSelectivity is the fraction of orders whose comment does NOT
-	// match Q13's special-requests pattern (32 of 33 comments).
-	nonSpecialSelectivity = 32.0 / 33.0
+	// match Q13's special-requests pattern.
+	nonSpecialSelectivity = 22553.0 / 23100.0
 )
 
 // orderDateFraction returns the share of the generated o_orderdate domain

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -155,4 +157,86 @@ func TestFamiliesByteIdenticalWithAndWithoutHints(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSelectivityConstantsMatchGenerator derives both build-side
+// selectivities exactly, by enumerating every combination of the
+// generator's uniform draws (gen.go), and holds the calibrated constants to
+// them. A build hinted below its true size regrows its rows at its last
+// page, so the constants must not undershoot.
+func TestSelectivityConstantsMatchGenerator(t *testing.T) {
+	// Q4: l_commitdate < l_receiptdate over every (ship, commit, receipt)
+	// draw, all offsets taken from one order date.
+	late, all := int64(0), int64(0)
+	for s := 0; s < shipSpan; s++ {
+		ship := AddDays(DateEpochStart, 1+s)
+		for c := 0; c < commitSpan; c++ {
+			commit := AddDays(DateEpochStart, commitMin+c)
+			for r := 0; r < receiptSpan; r++ {
+				if commit < AddDays(ship, 1+r) {
+					late++
+				}
+				all++
+			}
+		}
+	}
+	if got, want := lateCommitSelectivity, new(big.Rat).SetFrac64(late, all); !ratEquals(got, want) {
+		t.Errorf("lateCommitSelectivity = %v, generator gives %v = %.6f", got, want, ratFloat(want))
+	}
+
+	// Q13: the share of the special branch's comments that match the
+	// pattern. Each word count is equally likely, and "special" lands on
+	// each of its words equally likely; every other word is filler, which
+	// must match neither substring.
+	comment := storage.MustSchema(storage.Column{Name: "o_comment", Type: storage.String})
+	for _, w := range commentWords {
+		if containsPattern(t, comment, w) {
+			t.Fatalf("filler word %q matches the special-requests pattern", w)
+		}
+	}
+	matched := new(big.Rat)
+	for n := commentMinWords; n < commentMinWords+commentWordSpan; n++ {
+		for at := 0; at < n; at++ {
+			words := make([]string, n)
+			for i := range words {
+				switch {
+				case i == at:
+					words[i] = "special"
+				case i == at+1:
+					words[i] = "requests"
+				default:
+					words[i] = commentWords[0]
+				}
+			}
+			if containsPattern(t, comment, strings.Join(words, " ")) {
+				matched.Add(matched, big.NewRat(1, int64(commentWordSpan*n)))
+			}
+		}
+	}
+	want := new(big.Rat).Sub(big.NewRat(1, 1), matched.Mul(matched, big.NewRat(1, specialOdds)))
+	if got := nonSpecialSelectivity; !ratEquals(got, want) {
+		t.Errorf("nonSpecialSelectivity = %v, generator gives %v = %.6f", got, want, ratFloat(want))
+	}
+}
+
+// containsPattern reports whether Q13's special-requests pattern matches s.
+func containsPattern(t *testing.T, schema storage.Schema, s string) bool {
+	t.Helper()
+	b := storage.NewBatch(schema, 1)
+	if err := b.AppendRow(s); err != nil {
+		t.Fatal(err)
+	}
+	sel, err := Q13CommentPred().Filter(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(sel) == 0 // the predicate is the NOT LIKE
+}
+
+// ratEquals reports whether x is the float64 nearest r.
+func ratEquals(x float64, r *big.Rat) bool { return x == ratFloat(r) }
+
+func ratFloat(r *big.Rat) float64 {
+	f, _ := r.Float64()
+	return f
 }

@@ -40,6 +40,21 @@ const (
 // Priorities is the o_orderpriority domain.
 var Priorities = []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}
 
+// The generator's uniform draws that decide the build-side selectivities
+// cardinality.go encodes: each is 0 .. span-1 from prng.intn.
+const (
+	// l_shipdate - o_orderdate is 1 + a draw from shipSpan days.
+	shipSpan = 121
+	// l_commitdate - o_orderdate is commitMin + a draw from commitSpan days.
+	commitMin, commitSpan = 30, 61
+	// l_receiptdate - l_shipdate is 1 + a draw from receiptSpan days.
+	receiptSpan = 30
+	// One comment in specialOdds places "special" at a uniform word; a
+	// comment has commentMinWords + a draw from commentWordSpan words.
+	specialOdds                      = 33
+	commentMinWords, commentWordSpan = 3, 5
+)
+
 // commentWords seeds o_comment; "special" + "requests" appear in order with
 // roughly the frequency needed for Q13's anti-predicate to be selective but
 // not trivial.
@@ -100,9 +115,9 @@ func Generate(cfg Config) (*DB, error) {
 			price := float64(qty) * (900 + float64(rng.intn(100_000))/100)
 			discount := float64(rng.intn(11)) / 100 // 0.00 .. 0.10
 			tax := float64(rng.intn(9)) / 100       // 0.00 .. 0.08
-			shipDate := AddDays(orderDate, 1+rng.intn(121))
-			commitDate := AddDays(orderDate, 30+rng.intn(61))
-			receiptDate := AddDays(shipDate, 1+rng.intn(30))
+			shipDate := AddDays(orderDate, 1+rng.intn(shipSpan))
+			commitDate := AddDays(orderDate, commitMin+rng.intn(commitSpan))
+			receiptDate := AddDays(shipDate, 1+rng.intn(receiptSpan))
 			var flag string
 			switch {
 			case receiptDate <= cutoff && rng.intn(2) == 0:
@@ -165,10 +180,10 @@ func (p *prng) intn(n int) int {
 // comment builds an o_comment; about 3% contain "special" ... "requests" in
 // order, making Q13's NOT LIKE filter meaningfully selective.
 func (p *prng) comment() string {
-	n := 3 + p.intn(5)
+	n := commentMinWords + p.intn(commentWordSpan)
 	out := make([]byte, 0, 64)
 	specialAt := -1
-	if p.intn(33) == 0 {
+	if p.intn(specialOdds) == 0 {
 		specialAt = p.intn(n)
 	}
 	for i := 0; i < n; i++ {
