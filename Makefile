@@ -31,14 +31,15 @@ BENCH_ARGS ?=
 bench-e2e:
 	bash bench/run.sh $(BENCH_ARGS)
 
-# Fuzz the grouping aggregate against its row-at-a-time oracle, then
-# back-to-back pooled hash joins against the nested-loop join, 15 s each.
-# go test runs only the committed seed corpora
-# (internal/relop/testdata/fuzz/FuzzHashAgg and FuzzJoin); CI runs this
-# step too.
+# Fuzz the grouping aggregate against its row-at-a-time oracle,
+# back-to-back pooled hash joins against the nested-loop join, and predicate
+# trees against a row-at-a-time oracle, 15 s each. go test runs only the
+# committed seed corpora (internal/relop/testdata/fuzz/FuzzHashAgg, FuzzJoin
+# and FuzzFilter); CI runs this step too.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashAgg$$' -fuzztime=15s ./internal/relop/
 	$(GO) test -run='^$$' -fuzz='^FuzzJoin$$' -fuzztime=15s ./internal/relop/
+	$(GO) test -run='^$$' -fuzz='^FuzzFilter$$' -fuzztime=15s ./internal/relop/
 
 # End-to-end server smoke: boot cordobad on a random port, drive ~100
 # open-loop queries, SIGTERM, assert a clean drain and a nonzero p99

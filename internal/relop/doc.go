@@ -61,13 +61,30 @@
 // close. The same holds for expressions: Arith evaluates one kernel per node,
 // each intermediate rounded to float64 before the next node reads it.
 //
+// Comparisons. Cmp switches on its operator once per page and then runs
+// that operator's own loop, which writes every candidate row to the next
+// free slot of the selection and advances the slot by the comparison's
+// outcome as 0 or 1, so the loop has no data-dependent branch. The
+// semantics are the three-way ones the loops replaced: numbers compare as
+// float64 (integers included, so integers past 2^53 round as they meet a
+// float), and an unordered pair, a NaN on either side, counts as equal.
+// Le is therefore !(x > y), Ge is !(x < y), Eq holds when neither x < y nor
+// x > y, and Ne when either does. A literal on the left is mirrored to the
+// right (Lt becomes Gt, Le becomes Ge), and two literals decide the whole
+// page at once. FuzzFilter holds every operator and operand shape to a
+// row-at-a-time oracle.
+//
 // Join index. A sealed HashTable maps each distinct key to a dense key id
 // and keeps, per id, the build rows that carry it as one contiguous run of a
 // flat row-id array, filled by a stable counting pass. Matches returns that
 // run — build rows in insertion order, aliasing the index, read-only — so a
 // probe emits matches in the order the build side arrived: it resolves each
 // probe row to its key id and output row count, then fills the output one
-// column at a time, run by run. FootprintBytes is fixed at seal.
+// column at a time, run by run. FootprintBytes is fixed at seal. A build
+// looks a key up once per run of equal consecutive keys within a pushed
+// page, since a build side clustered on its key (lineitem on l_orderkey)
+// repeats each key over several rows; a run that straddles two pages costs
+// one lookup per page.
 //
 // Build storage. A build's row vectors, key table, offsets, row ids and
 // per-row key ids form one store, kept in a sync.Pool per build layout (the

@@ -246,8 +246,8 @@ type Cmp struct {
 }
 
 // Filter implements Pred. Operands evaluate to a column, a computed vector or
-// a scalar literal (never materialized), and the operator resolves to a
-// comparison once per page; the row loop touches typed slices only.
+// a scalar literal (never materialized), and the operator is switched on once
+// per page: each operator has its own branch-free row loop over typed slices.
 func (c Cmp) Filter(b *storage.Batch, sel []int) ([]int, error) {
 	l, err := operandOf(c.L, b, nil)
 	if err != nil {
@@ -260,113 +260,180 @@ func (c Cmp) Filter(b *storage.Batch, sel []int) ([]int, error) {
 	if (l.typ == storage.String) != (r.typ == storage.String) {
 		return nil, fmt.Errorf("%w: comparing %v to %v", ErrType, l.typ, r.typ)
 	}
-	m, err := resolveCmp(c.Op)
-	if err != nil {
-		return nil, err
+	op := c.Op
+	if op < Eq || op > Ge {
+		return nil, fmt.Errorf("%w: unknown comparison %d", ErrType, int(op))
 	}
 	sel = allRows(b, sel)
 	switch {
 	case l.typ == storage.String:
-		return filterStrings(m, l.vec.Str, r.vec.Str, sel), nil
+		return filterStrings(op, l.vec.Str, r.vec.Str, sel), nil
 	case l.konst && r.konst:
-		if !m.holds(l.float(), r.float()) {
+		if !op.holds(compareFloats(l.float(), r.float())) {
 			sel = sel[:0]
 		}
 		return sel, nil
 	case l.konst:
 		// literal ⊕ column: mirror into column ⊕ literal.
-		l, r, m = r, l, m.mirror()
+		l, r, op = r, l, op.mirror()
 	}
 	switch {
 	case r.konst && l.typ == storage.Float64:
-		return filterVecConst(m, l.vec.F64, r.float(), sel), nil
+		return filterVecConst(op, l.vec.F64, r.float(), sel), nil
 	case r.konst:
-		return filterVecConst(m, l.vec.I64, r.float(), sel), nil
+		return filterVecConst(op, l.vec.I64, r.float(), sel), nil
 	case l.typ == storage.Float64 && r.typ == storage.Float64:
-		return filterVecVec(m, l.vec.F64, r.vec.F64, sel), nil
+		return filterVecVec(op, l.vec.F64, r.vec.F64, sel), nil
 	case l.typ == storage.Float64:
-		return filterVecVec(m, l.vec.F64, r.vec.I64, sel), nil
+		return filterVecVec(op, l.vec.F64, r.vec.I64, sel), nil
 	case r.typ == storage.Float64:
-		return filterVecVec(m, l.vec.I64, r.vec.F64, sel), nil
+		return filterVecVec(op, l.vec.I64, r.vec.F64, sel), nil
 	default:
-		return filterVecVec(m, l.vec.I64, r.vec.I64, sel), nil
+		return filterVecVec(op, l.vec.I64, r.vec.I64, sel), nil
 	}
 }
 
-// cmpMask is a CmpOp resolved to its verdict on each outcome of a three-way
-// comparison. Numeric operands compare as float64 and an unordered pair (a
-// NaN on either side) counts as equal, so the mask is total.
-type cmpMask struct{ lt, eq, gt bool }
+// Comparison semantics. Numeric operands compare as float64 and an unordered
+// pair (a NaN on either side) counts as equal, so every operator is total: Le
+// is !(x > y), Ge is !(x < y), Eq is neither x < y nor x > y, and Ne is
+// either. The row loops spell exactly these out per operator.
 
-func resolveCmp(op CmpOp) (cmpMask, error) {
+// compareFloats is the three-way comparison of x and y, unordered as 0.
+func compareFloats(x, y float64) int { return b2i(x > y) - b2i(x < y) }
+
+// holds reports the operator's verdict on a three-way comparison outcome.
+func (op CmpOp) holds(ord int) bool {
 	switch op {
 	case Eq:
-		return cmpMask{eq: true}, nil
+		return ord == 0
 	case Ne:
-		return cmpMask{lt: true, gt: true}, nil
+		return ord != 0
 	case Lt:
-		return cmpMask{lt: true}, nil
+		return ord < 0
 	case Le:
-		return cmpMask{lt: true, eq: true}, nil
+		return ord <= 0
 	case Gt:
-		return cmpMask{gt: true}, nil
-	case Ge:
-		return cmpMask{eq: true, gt: true}, nil
+		return ord > 0
 	default:
-		return cmpMask{}, fmt.Errorf("%w: unknown comparison %d", ErrType, int(op))
+		return ord >= 0
 	}
 }
 
-// mirror returns the mask of the comparison with its operands swapped.
-func (m cmpMask) mirror() cmpMask { return cmpMask{lt: m.gt, eq: m.eq, gt: m.lt} }
-
-func (m cmpMask) holds(x, y float64) bool {
-	switch {
-	case x < y:
-		return m.lt
-	case x > y:
-		return m.gt
+// mirror returns the operator of the comparison with its operands swapped.
+func (op CmpOp) mirror() CmpOp {
+	switch op {
+	case Lt:
+		return Gt
+	case Le:
+		return Ge
+	case Gt:
+		return Lt
+	case Ge:
+		return Le
 	default:
-		return m.eq
+		return op
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // number is the element type of a numeric column payload.
 type number interface{ int64 | float64 }
 
 // filterVecConst keeps the rows of sel whose column value stands in relation
-// m to the literal y, compacting sel in place.
-func filterVecConst[T number](m cmpMask, xs []T, y float64, sel []int) []int {
+// op to the literal y, compacting sel in place: every row is written to the
+// next free slot, which advances only when the row is kept.
+func filterVecConst[T number](op CmpOp, xs []T, y float64, sel []int) []int {
 	n := 0
-	for _, i := range sel {
-		if m.holds(float64(xs[i]), y) {
+	switch op {
+	case Eq:
+		for _, i := range sel {
+			x := float64(xs[i])
 			sel[n] = i
-			n++
+			n += 1 ^ (b2i(x < y) | b2i(x > y))
+		}
+	case Ne:
+		for _, i := range sel {
+			x := float64(xs[i])
+			sel[n] = i
+			n += b2i(x < y) | b2i(x > y)
+		}
+	case Lt:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(float64(xs[i]) < y)
+		}
+	case Le:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(!(float64(xs[i]) > y))
+		}
+	case Gt:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(float64(xs[i]) > y)
+		}
+	case Ge:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(!(float64(xs[i]) < y))
 		}
 	}
 	return sel[:n]
 }
 
 // filterVecVec is filterVecConst for two columns.
-func filterVecVec[T, U number](m cmpMask, xs []T, ys []U, sel []int) []int {
+func filterVecVec[T, U number](op CmpOp, xs []T, ys []U, sel []int) []int {
 	n := 0
-	for _, i := range sel {
-		if m.holds(float64(xs[i]), float64(ys[i])) {
+	switch op {
+	case Eq:
+		for _, i := range sel {
+			x, y := float64(xs[i]), float64(ys[i])
 			sel[n] = i
-			n++
+			n += 1 ^ (b2i(x < y) | b2i(x > y))
+		}
+	case Ne:
+		for _, i := range sel {
+			x, y := float64(xs[i]), float64(ys[i])
+			sel[n] = i
+			n += b2i(x < y) | b2i(x > y)
+		}
+	case Lt:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(float64(xs[i]) < float64(ys[i]))
+		}
+	case Le:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(!(float64(xs[i]) > float64(ys[i])))
+		}
+	case Gt:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(float64(xs[i]) > float64(ys[i]))
+		}
+	case Ge:
+		for _, i := range sel {
+			sel[n] = i
+			n += b2i(!(float64(xs[i]) < float64(ys[i])))
 		}
 	}
 	return sel[:n]
 }
 
-func filterStrings(m cmpMask, xs, ys []string, sel []int) []int {
+func filterStrings(op CmpOp, xs, ys []string, sel []int) []int {
 	n := 0
 	for _, i := range sel {
-		ord := strings.Compare(xs[i], ys[i])
-		if (ord < 0 && m.lt) || (ord == 0 && m.eq) || (ord > 0 && m.gt) {
-			sel[n] = i
-			n++
-		}
+		sel[n] = i
+		n += b2i(op.holds(strings.Compare(xs[i], ys[i])))
 	}
 	return sel[:n]
 }

@@ -279,7 +279,9 @@ func (jb *JoinBuild) takeStore() {
 }
 
 // Push implements Operator: appends one build-side batch column by column
-// and resolves its keys to dense ids.
+// and resolves its keys to dense ids, one lookup per run of equal
+// consecutive keys (a build side clustered on its key, as lineitem is on
+// l_orderkey, repeats each key over several rows).
 func (jb *JoinBuild) Push(b *storage.Batch) error {
 	if jb.done {
 		return ErrFinished
@@ -293,14 +295,21 @@ func (jb *JoinBuild) Push(b *storage.Batch) error {
 		jb.takeStore()
 	}
 	t.rows.AppendBatch(b)
+	keys := b.Vecs[ki].I64
+	base := len(jb.rowKey)
+	jb.rowKey = slices.Grow(jb.rowKey, len(keys))[:base+len(keys)]
+	rowKey := jb.rowKey[base:]
 	// Until Finish, offsets[id+2] counts the rows of key id.
-	for _, k := range b.Vecs[ki].I64 {
+	for j := 0; j < len(keys); {
+		k, start := keys[j], j
 		id, added := t.keys.findOrAdd(k)
 		if added {
 			t.offsets = append(t.offsets, 0)
 		}
-		t.offsets[id+2]++
-		jb.rowKey = append(jb.rowKey, id)
+		for ; j < len(keys) && keys[j] == k; j++ {
+			rowKey[j] = id
+		}
+		t.offsets[id+2] += int32(j - start)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package relop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -35,6 +36,9 @@ type joinDiffCase struct {
 	buildPages, probePage []int // rows per page
 	buildKeys, probeKeys  int64 // keys are drawn from [0, n)
 	probeShift            int64 // added to every probe key
+	// sorted hands the build keys over in ascending order, so equal keys
+	// arrive as runs, some of them straddling a page boundary.
+	sorted bool
 }
 
 func joinDiffCases() []joinDiffCase {
@@ -50,6 +54,7 @@ func joinDiffCases() []joinDiffCase {
 		{name: "every probe misses", buildPages: []int{30, 30}, probePage: []int{40}, buildKeys: 8, probeKeys: 8, probeShift: 1000},
 		{name: "negative keys", buildPages: []int{60}, probePage: []int{60}, buildKeys: 6, probeKeys: 6, probeShift: -3},
 		{name: "table grows past its hint many times", buildPages: []int{400, 400, 400}, probePage: []int{200}, buildKeys: 700, probeKeys: 900},
+		{name: "sorted build keys", buildPages: []int{100, 100, 37}, probePage: []int{64, 64}, buildKeys: 60, probeKeys: 70, probeShift: -5, sorted: true},
 	}
 }
 
@@ -63,6 +68,16 @@ func (c joinDiffCase) build(rng *rand.Rand) (build, probe []*storage.Batch) {
 			}
 		}
 		build = append(build, b)
+	}
+	if c.sorted {
+		var keys []int64
+		for _, b := range build {
+			keys = append(keys, b.Vecs[0].I64...)
+		}
+		slices.Sort(keys)
+		for _, b := range build {
+			keys = keys[copy(b.Vecs[0].I64, keys):]
+		}
 	}
 	rid := int64(0)
 	for _, rows := range c.probePage {

@@ -223,7 +223,8 @@ func TestHashTableRecycleIsIdempotent(t *testing.T) {
 // inherits the store the one before it recycled, so stale rows, keys or
 // index entries left in a store show up as a mismatch. The committed corpus
 // (testdata/fuzz/FuzzJoin) covers a build smaller than the last, empty
-// builds, and key counts that outgrow the recycled key table.
+// builds, key counts that outgrow the recycled key table, and build keys
+// that arrive sorted (bit 2 of a join's kind byte), in runs of equal keys.
 func FuzzJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, joins uint8, plan []byte) {
 		rng := rand.New(rand.NewSource(seed))
@@ -237,7 +238,7 @@ func FuzzJoin(f *testing.F) {
 		for j := 0; j < n; j++ {
 			p := 5 * j
 			kind := JoinKind(at(p) % 4)
-			c := joinDiffCase{buildKeys: int64(1 + at(p+2)), probeKeys: int64(1 + at(p+2) + at(p+3)%16)}
+			c := joinDiffCase{buildKeys: int64(1 + at(p+2)), probeKeys: int64(1 + at(p+2) + at(p+3)%16), sorted: at(p)&4 != 0}
 			if at(p+2) == 255 {
 				c.buildKeys, c.probeKeys = 1<<40, 1<<40
 			}

@@ -92,6 +92,33 @@ func TestPagePoolRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// A warm scan page gathered into pooled storage allocates nothing past the
+// page header the round trip above already pays for: AppendGather grows
+// each recycled column at most once, in place.
+func TestPagePoolWarmGatherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	sch := poolSchema(t)
+	src := NewBatch(sch, PageRows)
+	fillPage(t, src, 0, PageRows)
+	var sel []int
+	for r := 0; r < PageRows; r += 1 + r%3 {
+		sel = append(sel, r)
+	}
+	scan := func() {
+		b := GetPage(sch, len(sel))
+		for i := range b.Vecs {
+			b.Vecs[i].AppendGather(src.Vecs[i], sel)
+		}
+		b.Release()
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 2 {
+		t.Errorf("warm GetPage/AppendGather/Release allocates %v objects, want 2 (Batch and Vecs)", allocs)
+	}
+}
+
 // Pages that were ever fanned out (MarkShared) are permanently exempt from
 // recycling: released claims prove the claimants are done, not that no
 // adopter kept an alias.

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is one column's values for a batch of tuples. Exactly one of the
 // payload slices is in use, selected by Type (Date shares I64).
@@ -102,22 +105,27 @@ func (v Vector) Gather(idx []int) Vector {
 
 // AppendGather appends src[idx[0]], src[idx[1]], ... to v, resolving the
 // payload type once instead of per row — the hot inner loop of selective
-// scans, where AppendFrom's per-element type switch dominates.
+// scans, where AppendFrom's per-element type switch dominates. The
+// destination grows once and the loop writes by index.
 func (v *Vector) AppendGather(src Vector, idx []int) {
 	switch v.Type {
 	case Int64, Date:
-		for _, i := range idx {
-			v.I64 = append(v.I64, src.I64[i])
-		}
+		v.I64 = appendGather(v.I64, src.I64, idx)
 	case Float64:
-		for _, i := range idx {
-			v.F64 = append(v.F64, src.F64[i])
-		}
+		v.F64 = appendGather(v.F64, src.F64, idx)
 	case String:
-		for _, i := range idx {
-			v.Str = append(v.Str, src.Str[i])
-		}
+		v.Str = appendGather(v.Str, src.Str, idx)
 	}
+}
+
+func appendGather[T any](dst, src []T, idx []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
+	for j, i := range idx {
+		out[j] = src[i]
+	}
+	return dst
 }
 
 // Equal reports deep value equality (used by tests).
