@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-hotpath bench-e2e fuzz smoke-server fmt examples ci
+.PHONY: build test bench bench-hotpath bench-e2e fuzz smoke-server fmt ci
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Every go-test benchmark: the paper's figures and the relop/tpch kernel
-# microbenchmarks. End-to-end numbers come from bench-e2e.
+# Every go-test benchmark: the relop, storage and tpch kernel
+# microbenchmarks. The paper's figures come from go run ./cmd/figures, and
+# end-to-end numbers from bench-e2e.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
@@ -50,16 +51,9 @@ smoke-server:
 fmt:
 	gofmt -w .
 
-# Run every example binary once, so example drift fails fast instead of
-# rotting (mirrored as a CI step).
-examples:
-	@for d in examples/*/; do \
-		echo "== $$d"; $(GO) run "./$$d" >/dev/null || exit 1; \
-	done
-
 # Mirrors .github/workflows/ci.yml: format check, vet, build, race tests,
-# a one-iteration benchmark smoke so bench code cannot rot, the examples
-# smoke, and the server smoke.
+# a one-iteration benchmark smoke so bench code cannot rot, and the server
+# smoke.
 ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -67,5 +61,4 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(MAKE) examples
 	$(MAKE) smoke-server

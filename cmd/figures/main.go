@@ -1,4 +1,4 @@
-// Command sharebench regenerates every figure of "To Share or Not To
+// Command figures regenerates every figure of "To Share or Not To
 // Share?" (VLDB 2007): the measured sharing speedups (Figures 1 and 2, via
 // the CMP simulator), the model sensitivity sweeps (Figure 4), the model
 // validation against measurement (Figure 5, with the max/average error
@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sharebench [-fig all|1|2|4|5|6|example] [-csv] [-clients N] [-horizon T]
+//	figures [-fig all|1|2|4|5|6|example] [-csv] [-clients N] [-horizon T]
 package main
 
 import (
@@ -45,7 +45,7 @@ var cpuGrid = []int{1, 2, 8, 32}
 func main() {
 	flag.Parse()
 	if err := run(*figFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "sharebench:", err)
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
@@ -182,63 +182,76 @@ func runFigure4() error {
 // with the per-class error statistics.
 func runFigure5() error {
 	for _, scanHeavy := range []bool{true, false} {
-		label := "scan-heavy (Q1, Q6)"
-		if !scanHeavy {
-			label = "join-heavy (Q4, Q13)"
-		}
-		t := series.NewTable("Figure 5: model validation, "+label, "clients")
-		var preds, meas []float64
-		for _, qid := range tpch.AllQueries {
-			if qid.ScanHeavy() != scanHeavy {
-				continue
-			}
-			pl := tpch.Plan(qid)
-			model := tpch.Model(qid)
-			for _, n := range cpuGrid {
-				env := core.NewEnv(float64(n))
-				for _, m := range sweepM(*clientsFlag) {
-					measured, err := sim.Speedup(pl, tpch.PivotName, m, simCfg(n))
-					if err != nil {
-						return err
-					}
-					predicted := core.Z(model, m, env)
-					t.Set(float64(m), fmt.Sprintf("%s %d cpu meas", qid, n), measured)
-					t.Set(float64(m), fmt.Sprintf("%s %d cpu model", qid, n), predicted)
-					preds = append(preds, predicted)
-					meas = append(meas, measured)
-				}
-			}
+		t, st, err := figure5(scanHeavy, sweepM(*clientsFlag))
+		if err != nil {
+			return err
 		}
 		emit(t)
-		fmt.Printf("model vs measurement: %s\n\n", series.Compare(preds, meas))
+		fmt.Printf("model vs measurement: %s\n\n", st)
 	}
 	return nil
+}
+
+// figure5 tabulates one query class of Figure 5 (scan-heavy Q1/Q6 or
+// join-heavy Q4/Q13) over every processor count and the given client counts,
+// and returns the model's relative error against the simulator.
+func figure5(scanHeavy bool, ms []int) (*series.Table, series.ErrorStats, error) {
+	label := "scan-heavy (Q1, Q6)"
+	if !scanHeavy {
+		label = "join-heavy (Q4, Q13)"
+	}
+	t := series.NewTable("Figure 5: model validation, "+label, "clients")
+	var preds, meas []float64
+	for _, qid := range tpch.AllQueries {
+		if qid.ScanHeavy() != scanHeavy {
+			continue
+		}
+		pl := tpch.Plan(qid)
+		model := tpch.Model(qid)
+		for _, n := range cpuGrid {
+			env := core.NewEnv(float64(n))
+			for _, m := range ms {
+				measured, err := sim.Speedup(pl, tpch.PivotName, m, simCfg(n))
+				if err != nil {
+					return nil, series.ErrorStats{}, err
+				}
+				predicted := core.Z(model, m, env)
+				t.Set(float64(m), fmt.Sprintf("%s %d cpu meas", qid, n), measured)
+				t.Set(float64(m), fmt.Sprintf("%s %d cpu model", qid, n), predicted)
+				preds = append(preds, predicted)
+				meas = append(meas, measured)
+			}
+		}
+	}
+	return t, series.Compare(preds, meas), nil
 }
 
 // runFigure6 reproduces Figure 6: the three policies across the Q1/Q4 mix
 // on 2 and 32 processors.
 func runFigure6() error {
-	q1 := tpch.Model(tpch.Q1)
-	q4 := tpch.Model(tpch.Q4)
 	for _, n := range []float64{2, 32} {
-		t := series.NewTable(fmt.Sprintf("Figure 6: policy throughput, 20 clients on %g processors", n), "%% q4")
-		pts := workload.Figure6Series(q1, q4, 20, n, 4)
-		for _, pt := range pts {
-			t.Set(pt.FractionQ4*100, "model", pt.Model)
-			t.Set(pt.FractionQ4*100, "never", pt.Never)
-			t.Set(pt.FractionQ4*100, "always", pt.Always)
-		}
+		t, vsNever, vsAlways := figure6(n)
 		emit(t)
-		var sumM, sumN, sumA float64
-		for _, pt := range pts {
-			sumM += pt.Model
-			sumN += pt.Never
-			sumA += pt.Always
-		}
 		fmt.Printf("average speedup of model-guided policy: %.2fx vs never-share, %.2fx vs always-share\n\n",
-			sumM/sumN, sumM/sumA)
+			vsNever, vsAlways)
 	}
 	return nil
+}
+
+// figure6 tabulates Figure 6 for 20 clients on n processors and returns the
+// model-guided policy's average speedup over never-share and always-share.
+func figure6(n float64) (t *series.Table, vsNever, vsAlways float64) {
+	t = series.NewTable(fmt.Sprintf("Figure 6: policy throughput, 20 clients on %g processors", n), "% q4")
+	var sumM, sumN, sumA float64
+	for _, pt := range workload.Figure6Series(tpch.Model(tpch.Q1), tpch.Model(tpch.Q4), 20, n, 4) {
+		t.Set(pt.FractionQ4*100, "model", pt.Model)
+		t.Set(pt.FractionQ4*100, "never", pt.Never)
+		t.Set(pt.FractionQ4*100, "always", pt.Always)
+		sumM += pt.Model
+		sumN += pt.Never
+		sumA += pt.Always
+	}
+	return t, sumM / sumN, sumM / sumA
 }
 
 func simCfg(n int) sim.Config {

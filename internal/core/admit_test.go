@@ -147,3 +147,24 @@ func TestAdmitDegenerateInputs(t *testing.T) {
 		t.Fatalf("clamped negative load: non-finite rate %g", adm.Rate)
 	}
 }
+
+// The decision labels travel in wire responses and reports, so each one is
+// fixed.
+func TestAdmitDecisionString(t *testing.T) {
+	for _, c := range []struct {
+		d    AdmitDecision
+		want string
+	}{
+		{AdmitShared, "admit-shared"},
+		{AdmitAlone, "admit-alone"},
+		{AdmitQueue, "queue"},
+		{AdmitShed, "shed"},
+		{AdmitShed + 1, "AdmitDecision(?)"},
+	} {
+		t.Run(c.want, func(t *testing.T) {
+			if got := c.d.String(); got != c.want {
+				t.Errorf("AdmitDecision(%d).String() = %q, want %q", int(c.d), got, c.want)
+			}
+		})
+	}
+}

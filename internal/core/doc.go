@@ -40,10 +40,9 @@
 //     replaced, so group rate uses the harmonic-mean form
 //     r_unshared = M / Σ_m p_max(m) and each query is throttled only by its
 //     own bottleneck.
-//   - Stop-&-go operators (Section 5.2): sorts and hash builds decouple the
-//     rates below and above them; SplitPhases models each phase separately.
-//   - Join decompositions (Section 5.3): NLJ pipelines; MJ = two sorts plus a
-//     merge; HJ = stop-&-go build plus pipelined probe.
+//   - Stop-&-go operators (Section 5.2): sorts and hash builds consume their
+//     whole input before producing; a shared hash build is priced as a query
+//     compiled at the build pivot (BuildShareX).
 //
 // # In-flight sharing (beyond the paper)
 //
@@ -228,7 +227,7 @@
 //	T(k) = u'/k + s·(k−1)
 //
 // (ShardT), scatter iff T(k) < T(1) (ShouldScatter), and the optimal
-// shard count interior to the trade-off is k* ≈ √(u'/s) (BestShards):
+// shard count interior to the trade-off is k* ≈ √(u'/s):
 // scan-heavy plans with large u' scatter wide, while plans whose cost
 // already concentrates in a fan-out-priced root see the gather term
 // dominate immediately and route whole to a single shard, round-robin.

@@ -197,3 +197,21 @@ func nanValue() float64 {
 	z := 0.0
 	return z / z
 }
+
+// A stop-and-go node keeps its coefficients and children, and the plan
+// rendering marks it so, next to its pipelined input.
+func TestNewStopAndGo(t *testing.T) {
+	scan := NewNode("scan", 2, 1)
+	sort := NewStopAndGo("sort", 3, 0.5, scan)
+	if sort.Kind != StopAndGo || sort.P() != 3.5 || len(sort.Children) != 1 || sort.Children[0] != scan {
+		t.Fatalf("NewStopAndGo = %+v", sort)
+	}
+	pl := Plan{Name: "sorted scan", Root: sort}
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := "plan \"sorted scan\"\n  sort (w=3 s=0.5 stop-and-go)\n    scan (w=2 s=1 pipelined)\n"
+	if got := pl.String(); got != want {
+		t.Errorf("plan rendering = %q, want %q", got, want)
+	}
+}

@@ -16,7 +16,7 @@ package core
 // the gather arm: tiny queries (u' ≈ s) lose to the gather cost and should
 // run on a single shard, scan-heavy queries (u' ≫ s) scatter profitably up
 // to k* ≈ √(u'/s). The cluster's submit router consults ShouldScatter with
-// exactly this term; BestShards exposes the argmin for planners and tests.
+// exactly this term.
 
 // ShardGather returns the coordinator-side gather work of a k-shard
 // scatter-gather execution: one partial-stream hand-off per shard beyond the
@@ -56,17 +56,4 @@ func ShardSpeedup(q Query, k int) float64 {
 // simpler regime (run whole).
 func ShouldScatter(q Query, k int) bool {
 	return ShardSpeedup(q, k) > 1
-}
-
-// BestShards returns the shard count k in [1, kmax] minimizing ShardT — the
-// scatter degree a planner should use when free to choose. Ties prefer the
-// smaller k.
-func BestShards(q Query, kmax int) int {
-	best, bestT := 1, ShardT(q, 1)
-	for k := 2; k <= kmax; k++ {
-		if t := ShardT(q, k); t < bestT {
-			best, bestT = k, t
-		}
-	}
-	return best
 }

@@ -59,30 +59,3 @@ func TestShardSpeedup(t *testing.T) {
 		t.Fatalf("zero-work speedup = %g, want 1", got)
 	}
 }
-
-// BestShards must track the analytic optimum k* = sqrt(u'/s): past it the
-// linear gather term overtakes the hyperbolic local saving.
-func TestBestShards(t *testing.T) {
-	q := shardQ() // k* = sqrt(20/0.5) ~ 6.3
-	best := BestShards(q, 64)
-	kstar := math.Sqrt(q.UPrime() / q.PivotS)
-	if math.Abs(float64(best)-kstar) > 1 {
-		t.Fatalf("BestShards = %d, analytic k* = %.2f", best, kstar)
-	}
-	// The argmin must actually minimize over the searched range.
-	for k := 1; k <= 64; k++ {
-		if ShardT(q, k) < ShardT(q, best)-1e-12 {
-			t.Fatalf("ShardT(%d) < ShardT(best=%d)", k, best)
-		}
-	}
-	// A free gather wants every shard it can get; a dominant gather wants one.
-	free := q
-	free.PivotS = 0
-	if got := BestShards(free, 16); got != 16 {
-		t.Fatalf("free gather BestShards = %d, want 16", got)
-	}
-	dominated := Query{PivotW: 0.1, PivotS: 10}
-	if got := BestShards(dominated, 16); got != 1 {
-		t.Fatalf("gather-dominated BestShards = %d, want 1", got)
-	}
-}

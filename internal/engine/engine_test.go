@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 )
@@ -391,6 +392,93 @@ func TestEngineConcurrentSubmissions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// A closed loop — each client resubmits from its previous query's
+// completion callback, the way the server and the benchmark drive the
+// engine — runs every client of a mixed Q1/Q6 population to the end under
+// each policy, and every result matches its reference. Under the
+// pivot-selecting policy the Q1 clients, submitted together, merge at the
+// aggregate (pivot level 1).
+func TestEngineClosedLoop(t *testing.T) {
+	db := testDB(t)
+	classes := []tpch.QueryID{tpch.Q1, tpch.Q6}
+	specs := make(map[tpch.QueryID]engine.QuerySpec)
+	want := make(map[tpch.QueryID]string)
+	for _, q := range classes {
+		specs[q] = tpch.MustEngineSpec(q, db, 0)
+		ref, err := tpch.Run(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = strings.Join(batchKeyRows(ref), "\n")
+	}
+	for _, tc := range []struct {
+		name string
+		pol  engine.SharePolicy
+	}{
+		{"never", nil},
+		{"always", policy.Always{}},
+		{"model", policy.ModelGuided{Env: core.NewEnv(4)}},
+		{"subplan", policy.ModelGuided{Env: core.NewEnv(2), PivotSelect: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, engine.Options{Workers: 4, StartPaused: true})
+			const clients, rounds = 4, 5
+			var (
+				mu   sync.Mutex
+				done = make(map[tpch.QueryID]int)
+				errs []error
+				wg   sync.WaitGroup
+			)
+			fail := func(err error) {
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+				wg.Done()
+			}
+			var loop func(q tpch.QueryID, left int)
+			loop = func(q tpch.QueryID, left int) {
+				_, err := e.SubmitFn(specs[q], tc.pol, func(b *storage.Batch, err error) {
+					if err == nil && strings.Join(batchKeyRows(b), "\n") != want[q] {
+						err = fmt.Errorf("%s: result differs from reference", q)
+					}
+					if err != nil {
+						fail(err)
+						return
+					}
+					mu.Lock()
+					done[q]++
+					mu.Unlock()
+					if left == 1 {
+						wg.Done()
+						return
+					}
+					loop(q, left-1)
+				})
+				if err != nil {
+					fail(err)
+				}
+			}
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				loop(classes[i%len(classes)], rounds)
+			}
+			e.Start()
+			wg.Wait()
+			for _, err := range errs {
+				t.Error(err)
+			}
+			for _, q := range classes {
+				if got, want := done[q], rounds*clients/len(classes); got != want {
+					t.Errorf("%s: %d completions, want %d", q, got, want)
+				}
+			}
+			if tc.name == "subplan" && e.PivotLevelJoins()[1] == 0 {
+				t.Errorf("no joins at the aggregate level: %v", e.PivotLevelJoins())
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -148,5 +149,51 @@ func TestShardReport(t *testing.T) {
 	}
 	if workload.ShardReport(server.Stats{}) != "" {
 		t.Error("unsharded stats rendered a shard report")
+	}
+}
+
+// The trace op returns the served queries' lifecycle traces, and
+// TraceReport renders each as a header line followed by one indented line
+// per span event.
+func TestClientTraces(t *testing.T) {
+	_, addr := startServer(t, 2)
+	c, err := workload.DialServer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if resp, err := c.Do(server.Request{Family: "Q6", Variant: i}); err != nil || resp.Status != server.StatusOK {
+			t.Fatalf("query %d: %+v, %v", i, resp, err)
+		}
+	}
+	recs, err := c.Traces(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("trace op returned no traces after three queries")
+	}
+	if one, err := c.Traces(1); err != nil || len(one) != 1 {
+		t.Fatalf("Traces(1) = %d records, %v; want 1", len(one), err)
+	}
+	lines := strings.Split(strings.TrimSuffix(workload.TraceReport(recs), "\n"), "\n")
+	var want []string
+	for _, r := range recs {
+		want = append(want, fmt.Sprintf("trace %d %s ", r.ID, r.Signature))
+		for _, e := range r.Events {
+			want = append(want, "  "+fmt.Sprintf("%9.3fms %-8s", e.OffsetMS, e.Kind))
+		}
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("report has %d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for i, l := range lines {
+		if !strings.HasPrefix(l, want[i]) {
+			t.Errorf("report line %d = %q, want prefix %q", i, l, want[i])
+		}
+	}
+	if workload.TraceReport(nil) != "" {
+		t.Error("no traces rendered a report")
 	}
 }

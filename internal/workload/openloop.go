@@ -7,9 +7,8 @@ import (
 )
 
 // This file models open-loop (open-system) traffic: arrivals fire on their
-// own schedule whether or not earlier queries have finished, unlike the
-// closed-loop clients of EngineMix.Run that wait for each response before
-// resubmitting. Open-loop load is what exposes tail latency and the need for
+// own schedule whether or not earlier queries have finished, unlike
+// closed-loop clients that wait for each response before resubmitting. Open-loop load is what exposes tail latency and the need for
 // admission control — a closed loop self-throttles at saturation, an open
 // loop keeps pushing.
 

@@ -94,3 +94,32 @@ func TestShapedArrivals(t *testing.T) {
 		t.Fatalf("diurnal cycle flat: trough gap %.0f, peak gap %.0f", low, high)
 	}
 }
+
+// A diurnal amplitude outside [0, 0.99] is clamped: a negative one gives the
+// flat Poisson process of the same seed, gap for gap, and one of 1 or more
+// behaves as 0.99, so the trough rate stays positive.
+func TestNewDiurnalClampsAmplitude(t *testing.T) {
+	flat, poisson := NewDiurnal(100, -0.5, time.Hour, 9), NewPoisson(100, 9)
+	deep, capped := NewDiurnal(100, 3, time.Hour, 9), NewDiurnal(100, 0.99, time.Hour, 9)
+	for i := 0; i < 200; i++ {
+		elapsed := time.Duration(i) * time.Minute
+		if a, b := flat.Next(elapsed), poisson.Next(elapsed); a != b {
+			t.Fatalf("gap %d at %v: negative amplitude %v, Poisson %v", i, elapsed, a, b)
+		}
+		if a, b := deep.Next(elapsed), capped.Next(elapsed); a != b {
+			t.Fatalf("gap %d at %v: amplitude 3 %v, amplitude 0.99 %v", i, elapsed, a, b)
+		}
+	}
+}
+
+// The one-line run report carries every accounting counter and the latency
+// quantiles.
+func TestOpenLoopResultString(t *testing.T) {
+	lat := &Hist{}
+	lat.Observe(2 * time.Millisecond)
+	r := OpenLoopResult{Offered: 10, OK: 6, Shed: 2, Errors: 1, Lost: 1, QueuedOK: 3, SharedOK: 4, Latency: lat}
+	want := "offered=10 ok=6 shed=2 err=1 lost=1 queued=3 shared=4 " + lat.String()
+	if got := r.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

@@ -1,21 +1,18 @@
-// Package workload implements the closed-system experiment harness of
-// Section 8.2: a fixed population of clients, each resubmitting a query the
-// moment the previous one completes, over a mix of query classes (the paper
-// varies the fraction of Q4 vs Q1), executed under one of the three sharing
-// policies. It provides both an analytical evaluator (deterministic,
-// regenerates Figure 6's curves from the model) and a wall-clock driver for
-// the real staged engine.
+// Package workload implements the closed-system experiment of Section 8.2:
+// a fixed population of clients, each resubmitting a query the moment the
+// previous one completes, over a mix of query classes (the paper varies the
+// fraction of Q4 vs Q1), executed under one of the three sharing policies.
+// Its analytical evaluator is deterministic and regenerates Figure 6's
+// curves from the model. The package also holds the open-loop arrival
+// processes and the pipelined cordobad wire client that drive the live
+// server.
 package workload
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/storage"
 )
 
 // Class is one query class in a mix.
@@ -262,247 +259,6 @@ func Figure6Series(q1, q4 core.Query, clients int, n float64, steps int) []Figur
 			Always:     PredictThroughput(mix, n, AlwaysShare),
 			Model:      PredictThroughput(mix, n, ModelShare),
 		})
-	}
-	return out
-}
-
-// EngineMix drives the real staged engine with a closed-loop client
-// population for a wall-clock duration.
-type EngineMix struct {
-	// Specs maps class name to its engine spec.
-	Specs map[string]engine.QuerySpec
-	// Assignment lists, per client, the class name it loops on.
-	Assignment []string
-}
-
-// MixResult reports a closed-loop engine run.
-type MixResult struct {
-	// Completions counts finished queries.
-	Completions int
-	// QueriesPerMinute is the measured throughput.
-	QueriesPerMinute float64
-	// PerClass breaks completions down by class.
-	PerClass map[string]int
-	// InflightAttaches counts queries that joined a scan already in
-	// progress (non-zero only when the engine runs with InflightSharing
-	// and an AttachPolicy).
-	InflightAttaches int64
-	// ParallelRuns counts queries executed as partitioned clones, and
-	// ParallelClones the clone pipelines spawned for them (non-zero only
-	// under a parallelizing policy or specs with an explicit degree).
-	ParallelRuns   int64
-	ParallelClones int64
-	// PivotJoins counts, per pivot node level, the queries that merged into
-	// a sharing group anchored there — level 0 is the scan; higher levels
-	// mean the group shared operator work above it.
-	PivotJoins map[int]int64
-	// HashBuilds counts shared hash-join builds executed (one per
-	// build-sharing group), and BuildJoins the queries that attached to an
-	// existing build instead of running their own.
-	HashBuilds int64
-	BuildJoins int64
-	// Supersedes counts work-exchange registrations that displaced a
-	// still-live entry, and SweepReclaims the entries the age-based sweep
-	// force-retired — the registry-hygiene metrics from the eviction work.
-	Supersedes    int64
-	SweepReclaims int64
-	// CacheHits counts queries served from the keep-alive artifact cache
-	// (a retained hash build attached with zero rebuild, or a whole result
-	// run), CacheMisses lookups that found nothing usable, and
-	// CacheEvictions artifacts dropped for memory pressure — all zero when
-	// the engine runs without a cache. CacheBytes is the cache's retained
-	// footprint at the end of the run (a gauge, not a delta).
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	CacheBytes     int64
-	// Bursts counts the duty cycles of a bursty run (1 for a plain Run).
-	Bursts int
-}
-
-// accumulate folds another run's result into r (for multi-burst drivers).
-func (r *MixResult) accumulate(o MixResult) {
-	r.Completions += o.Completions
-	if r.PerClass == nil {
-		r.PerClass = make(map[string]int)
-	}
-	for k, v := range o.PerClass {
-		r.PerClass[k] += v
-	}
-	if r.PivotJoins == nil {
-		r.PivotJoins = make(map[int]int64)
-	}
-	for k, v := range o.PivotJoins {
-		r.PivotJoins[k] += v
-	}
-	r.InflightAttaches += o.InflightAttaches
-	r.ParallelRuns += o.ParallelRuns
-	r.ParallelClones += o.ParallelClones
-	r.HashBuilds += o.HashBuilds
-	r.BuildJoins += o.BuildJoins
-	r.Supersedes += o.Supersedes
-	r.SweepReclaims += o.SweepReclaims
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.CacheEvictions += o.CacheEvictions
-	r.CacheBytes = o.CacheBytes
-	r.Bursts += o.Bursts
-}
-
-// Run drives the engine until the deadline. Each client resubmits its
-// class's query immediately upon completion (closed system). Resubmission
-// happens from completion callbacks on engine workers, so the driver needs
-// no goroutine per client and stays fair even on single-CPU hosts.
-func (w EngineMix) Run(e *engine.Engine, pol engine.SharePolicy, duration time.Duration) (MixResult, error) {
-	if len(w.Assignment) == 0 {
-		return MixResult{}, fmt.Errorf("workload: no clients")
-	}
-	for _, class := range w.Assignment {
-		if _, ok := w.Specs[class]; !ok {
-			return MixResult{}, fmt.Errorf("workload: no spec for class %q", class)
-		}
-	}
-	deadline := time.Now().Add(duration)
-	startAttaches := e.InflightAttaches()
-	startRuns := e.ParallelRuns()
-	startClones := e.ParallelClones()
-	startJoins := e.PivotLevelJoins()
-	startBuilds := e.HashBuilds()
-	startBuildJoins := e.BuildJoins()
-	startSupersedes := e.Exchange().SupersedeCount()
-	startReclaims := e.Exchange().SweepReclaims()
-	startCache := e.CacheStats()
-	var mu sync.Mutex
-	perClass := make(map[string]int)
-	total := 0
-	outstanding := 0
-	var firstErr error
-	allDone := make(chan struct{})
-
-	var clientDone func(class string)
-	submit := func(class string) error {
-		_, err := e.SubmitFn(w.Specs[class], pol, func(_ *storage.Batch, err error) {
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err == nil {
-				perClass[class]++
-				total++
-			}
-			mu.Unlock()
-			clientDone(class)
-		})
-		return err
-	}
-	finish := func() {
-		outstanding--
-		if outstanding == 0 {
-			close(allDone)
-		}
-	}
-	clientDone = func(class string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || !time.Now().Before(deadline) {
-			finish()
-			return
-		}
-		if err := submit(class); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			finish()
-		}
-	}
-
-	mu.Lock()
-	outstanding = len(w.Assignment)
-	for _, class := range w.Assignment {
-		if err := submit(class); err != nil {
-			mu.Unlock()
-			return MixResult{}, err
-		}
-	}
-	mu.Unlock()
-	<-allDone
-
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return MixResult{}, firstErr
-	}
-	joins := e.PivotLevelJoins()
-	for level, n := range startJoins {
-		if joins[level] -= n; joins[level] == 0 {
-			delete(joins, level)
-		}
-	}
-	endCache := e.CacheStats()
-	return MixResult{
-		Completions:      total,
-		QueriesPerMinute: float64(total) / duration.Minutes(),
-		PerClass:         perClass,
-		InflightAttaches: e.InflightAttaches() - startAttaches,
-		ParallelRuns:     e.ParallelRuns() - startRuns,
-		ParallelClones:   e.ParallelClones() - startClones,
-		PivotJoins:       joins,
-		HashBuilds:       e.HashBuilds() - startBuilds,
-		BuildJoins:       e.BuildJoins() - startBuildJoins,
-		Supersedes:       e.Exchange().SupersedeCount() - startSupersedes,
-		SweepReclaims:    e.Exchange().SweepReclaims() - startReclaims,
-		CacheHits:        endCache.Hits - startCache.Hits,
-		CacheMisses:      endCache.Misses - startCache.Misses,
-		CacheEvictions:   endCache.Evictions - startCache.Evictions,
-		CacheBytes:       endCache.Bytes,
-		Bursts:           1,
-	}, nil
-}
-
-// RunBursty drives the engine with on/off duty-cycle traffic: closed-loop
-// bursts of burstOn separated by idle gaps of idleGap, until duration
-// elapses. Every burst drains completely before the gap starts, so whatever
-// the engine retained across the gap (keep-alive cached artifacts) — not
-// in-flight sharing — carries work from one burst to the next. The result
-// accumulates all bursts, with QueriesPerMinute measured over the whole
-// wall-clock span (idle gaps included: retention pays for the work the whole
-// duty cycle would otherwise redo).
-func (w EngineMix) RunBursty(e *engine.Engine, pol engine.SharePolicy, duration, burstOn, idleGap time.Duration) (MixResult, error) {
-	if burstOn <= 0 {
-		return MixResult{}, fmt.Errorf("workload: non-positive burst duration %v", burstOn)
-	}
-	start := time.Now()
-	deadline := start.Add(duration)
-	var total MixResult
-	for {
-		res, err := w.Run(e, pol, burstOn)
-		if err != nil {
-			return MixResult{}, err
-		}
-		total.accumulate(res)
-		if !time.Now().Add(idleGap).Before(deadline) {
-			break
-		}
-		time.Sleep(idleGap)
-	}
-	elapsed := time.Since(start)
-	if elapsed > 0 {
-		total.QueriesPerMinute = float64(total.Completions) / elapsed.Minutes()
-	}
-	return total, nil
-}
-
-// Assign builds a client assignment: clients total, a fraction running the
-// named minority class, the rest the majority class.
-func Assign(majority, minority string, clients int, minorityFraction float64) []string {
-	out := make([]string, clients)
-	mCount := int(math.Round(minorityFraction * float64(clients)))
-	for i := range out {
-		if i < mCount {
-			out[i] = minority
-		} else {
-			out[i] = majority
-		}
 	}
 	return out
 }

@@ -3,11 +3,8 @@ package workload
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/policy"
 	"repro/internal/tpch"
 )
 
@@ -105,132 +102,5 @@ func TestPredictThroughputUnsaturated(t *testing.T) {
 	want := 1 / q1().PMax()
 	if math.Abs(x-want) > 1e-9 {
 		t.Errorf("throughput = %g, want %g", x, want)
-	}
-}
-
-func TestAssign(t *testing.T) {
-	a := Assign("Q1", "Q4", 10, 0.3)
-	var q4s int
-	for _, c := range a {
-		if c == "Q4" {
-			q4s++
-		}
-	}
-	if q4s != 3 || len(a) != 10 {
-		t.Errorf("assignment = %v", a)
-	}
-}
-
-// Closed-loop engine run completes queries under every policy and counts
-// them per class.
-func TestEngineMixRun(t *testing.T) {
-	db := tpch.MustGenerate(tpch.Config{ScaleFactor: 0.001, Seed: 11})
-	e, err := engine.New(engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	mix := EngineMix{
-		Specs: map[string]engine.QuerySpec{
-			"Q1": tpch.MustEngineSpec(tpch.Q1, db, 0),
-			"Q6": tpch.MustEngineSpec(tpch.Q6, db, 0),
-		},
-		Assignment: Assign("Q6", "Q1", 4, 0.5),
-	}
-	for _, pol := range []engine.SharePolicy{policy.ForEngine(policy.Never{}), policy.Always{}, policy.ModelGuided{Env: core.NewEnv(4)}} {
-		res, err := mix.Run(e, pol, 150*time.Millisecond)
-		if err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
-		if res.Completions == 0 {
-			t.Errorf("policy %v: no completions", pol)
-		}
-		if res.PerClass["Q1"] == 0 || res.PerClass["Q6"] == 0 {
-			t.Errorf("policy %v: class starved: %v", pol, res.PerClass)
-		}
-		if res.QueriesPerMinute <= 0 {
-			t.Errorf("policy %v: qpm = %g", pol, res.QueriesPerMinute)
-		}
-	}
-}
-
-// A parallelizing policy shows up in the mix report: scan-pivot queries run
-// as clone groups and the counters carry through MixResult.
-func TestEngineMixReportsParallelClones(t *testing.T) {
-	db := tpch.MustGenerate(tpch.Config{ScaleFactor: 0.001, Seed: 11})
-	e, err := engine.New(engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	mix := EngineMix{
-		Specs:      map[string]engine.QuerySpec{"Q6": tpch.MustEngineSpec(tpch.Q6, db, 0)},
-		Assignment: Assign("Q6", "Q6", 2, 0),
-	}
-	res, err := mix.Run(e, policy.Parallel{Clones: 2}, 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completions == 0 {
-		t.Fatal("no completions under parallel policy")
-	}
-	if res.ParallelRuns == 0 || res.ParallelClones != 2*res.ParallelRuns {
-		t.Fatalf("parallel counters: runs=%d clones=%d", res.ParallelRuns, res.ParallelClones)
-	}
-}
-
-// Pivot-level join counters carry through MixResult, and they are deltas:
-// a second run must not inherit the first run's joins.
-func TestEngineMixReportsPivotJoins(t *testing.T) {
-	db := tpch.MustGenerate(tpch.Config{ScaleFactor: 0.001, Seed: 11})
-	e, err := engine.New(engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	mix := EngineMix{
-		Specs:      map[string]engine.QuerySpec{"Q1": tpch.MustEngineSpec(tpch.Q1, db, 0)},
-		Assignment: Assign("Q1", "Q1", 4, 0),
-	}
-	pol := policy.ModelGuided{Env: core.NewEnv(2), PivotSelect: true}
-	res, err := mix.Run(e, pol, 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(0)
-	for _, n := range res.PivotJoins {
-		total += n
-	}
-	if total == 0 {
-		t.Fatalf("no pivot-level joins recorded under the subplan policy: %v", res.PivotJoins)
-	}
-	// Q1 offers the aggregate as its highest candidate; the subplan policy
-	// must have anchored at least one group there.
-	if res.PivotJoins[1] == 0 {
-		t.Errorf("no joins at the aggregate level: %v", res.PivotJoins)
-	}
-	again, err := mix.Run(e, pol, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for level, n := range again.PivotJoins {
-		if n < 0 {
-			t.Errorf("negative join delta at level %d: %d", level, n)
-		}
-	}
-}
-
-func TestEngineMixErrors(t *testing.T) {
-	e, err := engine.New(engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := (EngineMix{}).Run(e, nil, time.Millisecond); err == nil {
-		t.Error("empty mix accepted")
-	}
-	bad := EngineMix{Assignment: []string{"ghost"}, Specs: map[string]engine.QuerySpec{}}
-	if _, err := bad.Run(e, nil, time.Millisecond); err == nil {
-		t.Error("unknown class accepted")
 	}
 }
