@@ -16,12 +16,12 @@ bench:
 
 # Hot-path microbenchmarks only (submit path, compile step, one unshared
 # query per family with its pages/op, page filtering, and the relop kernels:
-# aggregation, expression evaluation, join build and probe), with allocation
-# counts; CI runs these through benchstat for readable ns/op + allocs/op
-# tables.
+# aggregation and its ordered finish, expression evaluation, join build and
+# probe), with allocation counts; CI runs these through benchstat for
+# readable ns/op + allocs/op tables.
 bench-hotpath:
 	$(GO) test -run='^$$' \
-		-bench='SubmitPath|CompileStep|FamilyAlone|PredFilter|HashAggPush|ArithEval|JoinBuild|JoinProbe' \
+		-bench='SubmitPath|CompileStep|FamilyAlone|PredFilter|HashAggPush|HashAggFinish|ArithEval|JoinBuild|JoinProbe' \
 		-benchmem ./internal/tpch/ ./internal/relop/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/, a module of its

@@ -350,8 +350,7 @@ func (e *Engine) compileFor(spec QuerySpec) *Compiled {
 func (e *Engine) compileForHit(spec QuerySpec) (*Compiled, bool) {
 	if spec.PlanKey != "" {
 		e.mu.Lock()
-		c := e.compiled[spec.PlanKey]
-		if c != nil && c.Valid() && c.Matches(spec) {
+		if c := e.memoizedLocked(spec); c != nil {
 			e.compileHits++
 			e.mu.Unlock()
 			return c, true
@@ -369,6 +368,35 @@ func (e *Engine) compileForHit(spec QuerySpec) (*Compiled, bool) {
 	}
 	e.mu.Unlock()
 	return c, false
+}
+
+// ShareKeyOf returns the share key of spec at its declared pivot, read from
+// the compile memo when the memo holds a valid artifact that matches spec,
+// and rendered by ShareKey otherwise. Admission asks for it on every request
+// and the memo makes it a map lookup; the lookup counts no compile hit. The
+// two agree unless the engine has bound a scanned table's name to another
+// instance, and then the memo's key is the one its groups are registered
+// under.
+func (e *Engine) ShareKeyOf(spec QuerySpec) string {
+	if spec.PlanKey != "" {
+		e.mu.Lock()
+		c := e.memoizedLocked(spec)
+		e.mu.Unlock()
+		if c != nil {
+			return c.shareKeyAt(spec.Pivot)
+		}
+	}
+	return ShareKey(spec)
+}
+
+// memoizedLocked returns the memoized artifact for spec's PlanKey when it is
+// still epoch-valid and structurally matches spec, nil otherwise. e.mu must
+// be held.
+func (e *Engine) memoizedLocked(spec QuerySpec) *Compiled {
+	if c := e.compiled[spec.PlanKey]; c != nil && c.Valid() && c.Matches(spec) {
+		return c
+	}
+	return nil
 }
 
 // CompileHits returns the number of submissions served by a memoized compile

@@ -119,6 +119,24 @@ func aggDiffCases() []aggDiffCase {
 			pool: [][]any{wide}, groupBy: []string{"k"}, pages: []int{900, 900, 900, 900}},
 		{name: "date key", keys: []storage.Column{dateCol},
 			pool: [][]any{intPool(9000, 10000, 999, 10001)}, groupBy: []string{"d"}, pages: []int{50, 50}},
+		// A single integer key sorts by an exact integer sort key up to 15
+		// digits; one value of 16 or more sends the whole column to the
+		// rendered sort keys, where many tie on their first 8 bytes.
+		{name: "int key, 15 digits (exact sort keys)", keys: []storage.Column{intCol},
+			pool:    [][]any{intPool(999_999_999_999_999, -999_999_999_999_999, 100_000_000_000_000, -100_000_000_000_000, 99_999_999_999_999, 1, -1, 0)},
+			groupBy: []string{"k"}, pages: []int{60, 60}},
+		{name: "int key, 15 and 16 digits (rendered sort keys)", keys: []storage.Column{intCol},
+			pool: [][]any{intPool(999_999_999_999_999, -999_999_999_999_999, 1_000_000_000_000_000, -1_000_000_000_000_000,
+				100_000_000_000_000, -100_000_000_000_000, 1_000_000_000_000_001, 9_999_999_999_999_999, 99_999_999_999_999)},
+			groupBy: []string{"k"}, pages: []int{60, 60}},
+		{name: "int key: zero and the extremes", keys: []storage.Column{intCol},
+			pool: [][]any{intPool(0, math.MinInt64, math.MaxInt64, math.MinInt64+1, math.MaxInt64-1)}, groupBy: []string{"k"}, pages: []int{40}},
+		{name: "date key before and after the epoch", keys: []storage.Column{dateCol},
+			pool: [][]any{intPool(-1, -10, -719_162, 0, 7, 19_000, 2_932_896)}, groupBy: []string{"d"}, pages: []int{50, 50}},
+		// s"abcd"| is 8 bytes: the whole sort key, tied by every group that
+		// shares the first column.
+		{name: "8-byte rendered prefix tied across groups", keys: []storage.Column{strCol, fltCol},
+			pool: [][]any{{"abcd", "abce", "abc"}, {1.5, -2.0, 1e21, 0.0}}, groupBy: []string{"s", "f"}, pages: []int{70, 70}},
 		{name: "string key with separators, quotes and NULs", keys: []storage.Column{strCol},
 			pool:    [][]any{{"", "|", "a|b", "a", "|b", `"`, `a"b`, `\`, "\x00", "a\x00", "a\x00b", "é", "\n", "s\"a\"|"}},
 			groupBy: []string{"s"}, pages: []int{70, 70, 5}},

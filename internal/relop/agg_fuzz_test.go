@@ -36,20 +36,65 @@ func fuzzAggMenu() []AggSpec {
 // 3, eight NULs and seven NULs then \x01 at offsets 12 and 13.
 const fuzzKeyBytes = "aaaaaaaaaab\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01cdefghijklmnopqrs"
 
-// fuzzAggInput decodes one FuzzHashAgg input: keys%4+1 string key columns;
-// one aggregate per spec byte (duplicates allowed); one page per page byte,
-// of that many rows; and one key cell per cell byte, reused cyclically, whose
-// value is cell%10 bytes of fuzzKeyBytes from offset cell/10 — lengths 0–9,
-// straddling the 8 bytes the packed group table holds. x, n and "3" are
-// drawn from seed.
+// fuzzIntKey is the integer key value a cell byte stands for: bit 0 is the
+// sign, bits 1–5 the decimal digit count (1–19, mod 19), and bits 6–7 pick
+// the smallest value of that many digits, the largest (MaxInt64 and MinInt64
+// at 19), the smallest plus one, or five times the smallest minus five (0 at
+// one digit). So cells reach every digit count, zero, and the 15/16-digit
+// edge past which a column leaves the exact integer sort keys.
+func fuzzIntKey(c byte) int64 {
+	digits := 1 + int(c>>1&31)%19
+	lo := int64(1)
+	for range digits - 1 {
+		lo *= 10
+	}
+	var v int64
+	switch c >> 6 {
+	case 0:
+		v = lo
+	case 1:
+		v = math.MaxInt64
+		if digits < 19 {
+			v = lo*10 - 1
+		}
+	case 2:
+		v = lo + 1
+	default:
+		v = 5*lo - 5
+	}
+	if c&1 != 0 {
+		if v == math.MaxInt64 {
+			return math.MinInt64
+		}
+		return -v
+	}
+	return v
+}
+
+// fuzzAggInput decodes one FuzzHashAgg input. keys/4%3 picks the key shape:
+// 0 is keys%4+1 string key columns, 1 one Int64 key column, 2 one Date key
+// column. Then one aggregate per spec byte (duplicates allowed); one page
+// per page byte, of that many rows; and one key cell per cell byte, reused
+// cyclically. A string cell's value is cell%10 bytes of fuzzKeyBytes from
+// offset cell/10 — lengths 0–9, straddling the 8 bytes the packed group
+// table holds; an integer cell's is fuzzIntKey(cell). x, n and "3" are drawn
+// from seed.
 func fuzzAggInput(seed int64, keys uint8, specBytes, pageBytes, cells []byte) (storage.Schema, []string, []AggSpec, []*storage.Batch) {
 	var cols []storage.Column
 	var groupBy []string
-	for c := 0; c < int(keys%4)+1; c++ {
-		name := fmt.Sprintf("k%d", c)
-		cols = append(cols, storage.Column{Name: name, Type: storage.String})
-		groupBy = append(groupBy, name)
+	switch keys / 4 % 3 {
+	case 0:
+		for c := 0; c < int(keys%4)+1; c++ {
+			name := fmt.Sprintf("k%d", c)
+			cols = append(cols, storage.Column{Name: name, Type: storage.String})
+			groupBy = append(groupBy, name)
+		}
+	case 1:
+		cols, groupBy = []storage.Column{{Name: "k0", Type: storage.Int64}}, []string{"k0"}
+	default:
+		cols, groupBy = []storage.Column{{Name: "k0", Type: storage.Date}}, []string{"k0"}
 	}
+	keyCols := len(cols)
 	cols = append(cols,
 		storage.Column{Name: "x", Type: storage.Float64},
 		storage.Column{Name: "n", Type: storage.Int64},
@@ -71,14 +116,17 @@ func fuzzAggInput(seed int64, keys uint8, specBytes, pageBytes, cells []byte) (s
 		b := storage.NewBatch(schema, int(rows))
 		for r := 0; r < int(rows); r++ {
 			row := make([]any, 0, len(cols))
-			for range groupBy {
-				var v string
+			for _, kc := range cols[:keyCols] {
+				var c byte
 				if len(cells) > 0 {
-					c := int(cells[cell%len(cells)])
-					v = fuzzKeyBytes[c/10 : c/10+c%10]
+					c = cells[cell%len(cells)]
 				}
 				cell++
-				row = append(row, v)
+				if kc.Type == storage.String {
+					row = append(row, fuzzKeyBytes[c/10:c/10+c%10])
+				} else {
+					row = append(row, fuzzIntKey(c))
+				}
 			}
 			row = append(row, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(12))), int64(rng.Intn(2000)-1000), int64(rng.Intn(7)))
 			if err := b.AppendRow(row...); err != nil {
@@ -93,8 +141,10 @@ func fuzzAggInput(seed int64, keys uint8, specBytes, pageBytes, cells []byte) (s
 // FuzzHashAgg holds HashAgg, and three partial aggregates combined by one
 // MergeHashAgg, to the row-at-a-time oracle page for page and bit for bit.
 // The committed corpus (testdata/fuzz/FuzzHashAgg) includes keys that pack
-// into one word, keys that never do, and a stream that leaves the packed
-// table after packed groups exist, which then recur.
+// into one word, keys that never do, a stream that leaves the packed table
+// after packed groups exist, which then recur, and integer and date keys
+// across signs, digit counts and the 15/16-digit edge of the exact integer
+// sort keys.
 func FuzzHashAgg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, keys uint8, specBytes, pageBytes, cells []byte) {
 		schema, groupBy, specs, pages := fuzzAggInput(seed, keys, specBytes, pageBytes, cells)

@@ -2,9 +2,11 @@ package relop
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -330,14 +332,27 @@ func maxOf[T number](acc []float64, ids []int32, xs []T) {
 }
 
 // emitOrder returns the group ids in emission order: ascending by the
-// canonical rendering of the key, i%d| / f%g| / s%q| per column. The string
-// is the group key earlier versions hashed on per row; it is rendered here
-// once per group only so that output order stays what it was.
+// canonical rendering of the key, i%d| / f%g| / s%q| per column, the string
+// earlier versions grouped on. It sorts one uint64 sort key per group whose
+// order agrees with the rendering's: a single integer key of at most
+// maxExactDigits digits is encoded without rendering it (intEmitOrder);
+// every other key sorts by the first 8 bytes of its rendering, and the
+// renderings decide where two of those are equal.
 func (t *aggTable) emitOrder() []int {
+	order := make([]int, t.n)
+	if len(t.keys) == 1 && payloadOf(t.keys[0].Type) == storage.Int64 && intEmitOrder(t.keys[0].I64[:t.n], order) {
+		return order
+	}
 	// canon[ends[g-1]:ends[g]] is group g's rendering.
 	var canon []byte
 	ends := make([]int, t.n)
+	type sortKey struct {
+		key uint64
+		id  int
+	}
+	ks := make([]sortKey, t.n)
 	for g := range ends {
+		start := len(canon)
 		for _, kv := range t.keys {
 			switch kv.Type {
 			case storage.Int64, storage.Date:
@@ -351,6 +366,9 @@ func (t *aggTable) emitOrder() []int {
 			canon = append(canon, '|')
 		}
 		ends[g] = len(canon)
+		var head [8]byte
+		copy(head[:], canon[start:])
+		ks[g] = sortKey{key: binary.BigEndian.Uint64(head[:]), id: g}
 	}
 	rendering := func(g int) []byte {
 		if g == 0 {
@@ -358,12 +376,82 @@ func (t *aggTable) emitOrder() []int {
 		}
 		return canon[ends[g-1]:ends[g]]
 	}
-	order := make([]int, t.n)
-	for g := range order {
-		order[g] = g
+	slices.SortFunc(ks, func(a, b sortKey) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return bytes.Compare(rendering(a.id), rendering(b.id))
+	})
+	for i, k := range ks {
+		order[i] = k.id
 	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(rendering(a), rendering(b)) })
 	return order
+}
+
+// intEmitOrder fills order with the emission order of the groups whose
+// single integer key values are vals, and reports whether it could: it
+// cannot when a value has more than maxExactDigits digits, or when the
+// group ids do not fit below the keys. The sort keys are exact, hence
+// distinct, and any two differ at or above the first padding nibble of the
+// shorter: the nibbles below the last digit of the longest key never
+// decide, so the ids ride there and one sort of plain words orders the
+// groups.
+func intEmitOrder(vals []int64, order []int) bool {
+	words := make([]uint64, len(vals))
+	maxDigits := 0
+	for g, v := range vals {
+		k, d := intSortKey(v)
+		words[g] = k
+		maxDigits = max(maxDigits, d)
+	}
+	idBits := bits.Len(uint(len(vals)))
+	if maxDigits > maxExactDigits || idBits > 4*(maxExactDigits-maxDigits) {
+		return false
+	}
+	mask := uint64(1)<<idBits - 1
+	for g := range words {
+		words[g] = words[g]&^mask | uint64(g)
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		order[i] = int(w & mask)
+	}
+	return true
+}
+
+// maxExactDigits is the most decimal digits a sort key holds: the top
+// nibble of the 16 holds the sign.
+const maxExactDigits = 15
+
+// pow10[i] is 10^i, up to the largest that fits a uint64.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// intSortKey returns the number of decimal digits of v and, when that is at
+// most maxExactDigits, the sort key of v's rendering i<v>|. The key reads
+// nibble by nibble from the top: a sign nibble (0 for negative, as '-'
+// sorts before every digit), then digit+1 per decimal digit of |v|, then
+// 0xF padding, which sorts after every digit just as '|' does.
+func intSortKey(v int64) (key uint64, digits int) {
+	u, sign := uint64(v), uint64(1)
+	if v < 0 {
+		u, sign = -u, 0
+	}
+	// bits.Len64 × log10(2), then one comparison to correct it (u|1 has the
+	// digits of u and a nonzero length).
+	digits = bits.Len64(u|1) * 1233 >> 12
+	if u|1 >= pow10[digits] {
+		digits++
+	}
+	if digits > maxExactDigits {
+		return 0, digits
+	}
+	key = sign<<60 | ^uint64(0)>>(4+4*digits)
+	for shift := 4 * (maxExactDigits - digits); shift < 60; shift += 4 {
+		key |= (u%10 + 1) << shift
+		u /= 10
+	}
+	return key, digits
 }
 
 // emitPages streams the groups in emission order, storage.PageRows per page:

@@ -1,8 +1,13 @@
 package relop
 
 import (
+	"bytes"
+	"cmp"
 	"math"
+	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -139,5 +144,40 @@ func TestHashAggChecksCountExpr(t *testing.T) {
 	}
 	if _, err := NewHashAgg(in, nil, []AggSpec{{Func: Count, Expr: Col("x"), As: "c"}}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntSortKeyOrdersAsRendering holds intSortKey to the order of the
+// rendering i<v>| for every value of at most maxExactDigits digits, and to
+// its digit count for every value.
+func TestIntSortKeyOrdersAsRendering(t *testing.T) {
+	vals := []int64{0, 1, -1, 9, -9, 10, -10, 99, 100, 101, 5, 50, 500,
+		99_999_999_999_999, 100_000_000_000_000, 999_999_999_999_999, -999_999_999_999_999,
+		1_000_000_000_000_000, -1_000_000_000_000_000, 1_000_000_000_000_001, 9_999_999_999_999_999,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+	rng := rand.New(rand.NewSource(1))
+	for range 400 {
+		v := rng.Int63() >> rng.Intn(63)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		vals = append(vals, v)
+	}
+	render := func(v int64) []byte { return append(strconv.AppendInt([]byte("i"), v, 10), '|') }
+	for _, a := range vals {
+		ka, da := intSortKey(a)
+		if want := len(strings.TrimPrefix(strconv.FormatInt(a, 10), "-")); da != want {
+			t.Fatalf("intSortKey(%d) counts %d digits, want %d", a, da, want)
+		}
+		if da > maxExactDigits {
+			continue
+		}
+		for _, b := range vals {
+			if kb, db := intSortKey(b); db <= maxExactDigits {
+				if got, want := cmp.Compare(ka, kb), bytes.Compare(render(a), render(b)); got != want {
+					t.Fatalf("%d vs %d: keys %#x, %#x compare %d, renderings %d", a, b, ka, kb, got, want)
+				}
+			}
+		}
 	}
 }

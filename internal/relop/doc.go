@@ -47,12 +47,21 @@
 //
 // Emission order. Groups are emitted in ascending order of their canonical
 // rendering, the concatenation of i%d| , f%g| or s%q| per key column. That
-// string was once the per-row hash key; it is now rendered only at Finish,
-// once per group and into one shared buffer, because it defines the output
+// string was once the per-row hash key, and it still defines the output
 // order every consumer and every stored reference result was produced under
-// (so 10 sorts before 2, and negative numbers by their digits). Two keys
-// share a rendering exactly when they share an encoding, so grouping is
-// unchanged. The key values emitted for a group are those of its first row.
+// (so 10 sorts before 2, and negative numbers by their digits). Finish
+// computes that order from one uint64 sort key per group. Each column's
+// rendering is prefix-free ('|' never appears unescaped inside one), so
+// ordering the concatenation is ordering column by column. A single
+// integer or date key is encoded without being rendered: a sign nibble,
+// one nibble per decimal digit, then padding that sorts after every digit
+// as '|' does; the group ids ride in the low nibbles no key needs, and one
+// sort of plain words orders the groups. Every other key, and an integer
+// column holding a value of 16 or more digits, sorts by the first 8 bytes
+// of its rendering, and where two of those are equal the renderings
+// decide. Two keys share a rendering exactly when they share an encoding,
+// so grouping is unchanged. The key values emitted for a group are those of
+// its first row.
 //
 // Accumulation order. Within a page rows fold in row order, and pages in
 // Push order, so each group's accumulators see its inputs in arrival order

@@ -110,6 +110,57 @@ func BenchmarkHashAggPush(b *testing.B) {
 	}
 }
 
+// BenchmarkHashAggFinish times Finish alone, where the groups are put in
+// emission order and emitted: Q13's inner count with about 1 500 integer
+// custkeys, and Q1's two one-byte string keys. Each iteration first folds in
+// one row per group, off the clock.
+func BenchmarkHashAggFinish(b *testing.B) {
+	custSchema := storage.MustSchema(
+		storage.Column{Name: "custkey", Type: storage.Int64},
+		storage.Column{Name: "one", Type: storage.Int64},
+	)
+	rng := rand.New(rand.NewSource(3))
+	custkeys := rng.Perm(1500)
+	cust := benchPages(b, custSchema, len(custkeys), func(r int) []any { return []any{int64(1 + custkeys[r]), int64(1)} })
+	q1Schema := storage.MustSchema(
+		storage.Column{Name: "flag", Type: storage.String},
+		storage.Column{Name: "status", Type: storage.String},
+		storage.Column{Name: "qty", Type: storage.Float64},
+	)
+	q1Groups := [][2]string{{"R", "F"}, {"N", "O"}, {"A", "F"}, {"N", "F"}}
+	q1 := benchPages(b, q1Schema, len(q1Groups), func(r int) []any { return []any{q1Groups[r][0], q1Groups[r][1], 1.0} })
+	for _, arm := range []struct {
+		name    string
+		schema  storage.Schema
+		pages   []*storage.Batch
+		groupBy []string
+		specs   []AggSpec
+	}{
+		{"q13-inner", custSchema, cust, []string{"custkey"}, []AggSpec{{Func: Sum, Expr: Col("one"), As: "c_count"}}},
+		{"q1", q1Schema, q1, []string{"flag", "status"}, []AggSpec{{Func: Sum, Expr: Col("qty"), As: "sum_qty"}, {Func: Count, As: "count_order"}}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				agg, err := NewHashAgg(arm.schema, arm.groupBy, arm.specs, func(*storage.Batch) error { return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range arm.pages {
+					if err := agg.Push(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := agg.Finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkArithEval evaluates Q1's charge, extprice*(1-disc)*(1+tax), the
 // way an operator does: intermediates in scratch that is reused across pages.
 func BenchmarkArithEval(b *testing.B) {

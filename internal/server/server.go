@@ -295,15 +295,19 @@ func candidates(spec engine.QuerySpec) []core.Query {
 // groupProspect reports the sharing opportunity the admission model prices:
 // the prospective group size (live members + the newcomer) and the
 // remaining-coverage argument (1 for a joinable group, negative when no
-// compatible group exists). On a sharded server the prospect spans the
-// cluster: each shard is consulted for its shard-qualified scattered form
-// and for the build-subtree share key, which canonicalizes identically on
-// every shard when the build side is replicated — exactly the groups the
-// cross-shard bus merges.
+// compatible group exists). It looks groups up by signature and by the
+// fan-out share key at the spec's declared pivot (the join for Q4 and Q13),
+// which the engine reads from its compile memo, so a warm call renders
+// nothing. A group registered only under a build-state key (the "!build"
+// namespace of a build-side pivot candidate) is not among them. On a
+// sharded server the prospect spans the cluster: each shard is consulted
+// for its shard-qualified signature and for shard 0's fan-out key, which
+// canonicalizes identically on every shard when the subtree below the pivot
+// is replicated.
 func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
 	var g int
 	if s.cluster != nil && len(p.plan.Shards) > 0 {
-		bk := engine.ShareKey(p.plan.Shards[0])
+		bk := s.cluster.Shard(0).ShareKeyOf(p.plan.Shards[0])
 		for i, sh := range p.plan.Shards {
 			e := s.cluster.Shard(i)
 			if k := e.GroupSize(sh.Signature); k > g {
@@ -315,7 +319,7 @@ func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
 		}
 	} else {
 		g = s.eng.GroupSize(p.spec.Signature)
-		if k := s.eng.GroupSize(engine.ShareKey(p.spec)); k > g {
+		if k := s.eng.GroupSize(s.eng.ShareKeyOf(p.spec)); k > g {
 			g = k
 		}
 	}
@@ -325,18 +329,15 @@ func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
 	return 0, -1
 }
 
-// handleQuery runs one submission through admission control and either
-// submits it, queues it, or sheds it. The response is written when the
-// engine completes the query (ok), or immediately on a shed/error.
-func (s *Server) handleQuery(c *conn, req Request) {
+// pendingFor resolves a query request into the submission admission
+// prices: the family's spec, or on a sharded server its precompiled
+// scatter-gather plan, and the candidate models.
+func (s *Server) pendingFor(req Request) (*pending, error) {
 	fam, ok := tpch.FamilyByName(req.Family)
 	if !ok {
-		s.countError()
-		c.write(Response{ID: req.ID, Status: StatusError,
-			Error: fmt.Sprintf("unknown family %q (have %s)", req.Family, strings.Join(tpch.FamilyNames(), ", "))})
-		return
+		return nil, fmt.Errorf("unknown family %q (have %s)", req.Family, strings.Join(tpch.FamilyNames(), ", "))
 	}
-	p := &pending{req: req, conn: c, arrived: time.Now()}
+	p := &pending{req: req}
 	if s.plans != nil {
 		// Sharded: route through the precompiled scatter-gather plan. The
 		// admission candidates come from the template — the plan's single-
@@ -344,10 +345,7 @@ func (s *Server) handleQuery(c *conn, req Request) {
 		// identically.
 		sf, ok := tpch.ShardFamilyByName(req.Family)
 		if !ok {
-			s.countError()
-			c.write(Response{ID: req.ID, Status: StatusError,
-				Error: fmt.Sprintf("family %q has no shard plan", req.Family)})
-			return
+			return nil, fmt.Errorf("family %q has no shard plan", req.Family)
 		}
 		v := req.Variant % sf.Variants
 		if v < 0 {
@@ -360,6 +358,21 @@ func (s *Server) handleQuery(c *conn, req Request) {
 		p.spec = fam.Spec(s.cfg.DB, 0, req.Variant)
 	}
 	p.cands = candidates(p.spec)
+	return p, nil
+}
+
+// handleQuery runs one submission through admission control and either
+// submits it, queues it, or sheds it. The response is written when the
+// engine completes the query (ok), or immediately on a shed/error.
+func (s *Server) handleQuery(c *conn, req Request) {
+	arrived := time.Now()
+	p, err := s.pendingFor(req)
+	if err != nil {
+		s.countError()
+		c.write(Response{ID: req.ID, Status: StatusError, Error: err.Error()})
+		return
+	}
+	p.conn, p.arrived = c, arrived
 
 	s.mu.Lock()
 	if s.draining {
