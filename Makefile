@@ -21,7 +21,7 @@ bench:
 # readable ns/op + allocs/op tables.
 bench-hotpath:
 	$(GO) test -run='^$$' \
-		-bench='SubmitPath|CompileStep|FamilyAlone|PredFilter|HashAggPush|HashAggFinish|ArithEval|JoinBuild|JoinProbe' \
+		-bench='SubmitPath|CompileStep|FamilyAlone|ClusterScatter|PredFilter|HashAggPush|HashAggFinish|ArithEval|JoinBuild|JoinProbe' \
 		-benchmem ./internal/tpch/ ./internal/relop/
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/, a module of its

@@ -22,11 +22,15 @@ import (
 // engine, CompileScatter clones a whole plan across shards — each shard runs
 // the root's Partial form over its partition of the data, and the cluster's
 // gather stage runs the one Merge the clone fan-in would have run. What is
-// new is the boundary the clones cross: each shard is a full Engine with its
-// own scheduler, sharing groups, and policies, so every shard-local
-// work-sharing mechanism (fan-out groups, circular scans, build shares, the
-// keep-alive cache) keeps operating on the scattered fragments — and the
-// shared bus extends build-side sharing across the shards themselves.
+// new is the boundary the clones cross: each shard is a data partition with
+// its own Engine state — sharing groups, compile memo, bus attachments — so
+// every shard-local work-sharing mechanism (fan-out groups, circular scans,
+// build shares, the keep-alive cache) keeps operating on the scattered
+// fragments, and the shared bus extends build-side sharing across the shards
+// themselves. A shard is not a worker pool: every shard's tasks run on the
+// cluster's one Scheduler, so a worker with nothing of one shard's to run
+// steals another shard's work (morsel-driven scheduling), and the k×Workers
+// processors the admission model prices are one pool in fact.
 
 // newBusBuildGroupLocked anchors a local build-sharing group on a build state
 // published by another engine on the shared bus: the build subtree runs (or
@@ -180,17 +184,21 @@ func CompileScatter(template QuerySpec, shards int, remap func(shard int, tbl *s
 	return plan, nil
 }
 
-// Cluster is a set of engine shards sharing a cross-shard artifact bus: one
-// storage.Exchange every shard publishes to and discovers through, so a hash
-// table built on any shard serves probers on all of them, plus (when the
-// options carry one) one keep-alive cache. Submit routes each ShardPlan
+// Cluster is a set of engine shards — data partitions — sharing one worker
+// pool and a cross-shard artifact bus: one storage.Exchange every shard
+// publishes to and discovers through, so a hash table built on any shard
+// serves probers on all of them, plus (when the options carry one) one
+// keep-alive cache. A one-shard cluster is a plain engine behind the
+// cluster API: plans route whole to it. Submit routes each ShardPlan
 // either whole to a single shard (small queries, round-robin) or scattered —
 // every shard runs its partial form and a gather stage merges the partials in
 // shard-index order, so scattered results are deterministic for a fixed shard
 // count.
 type Cluster struct {
-	bus    *storage.Exchange
 	shards []*Engine
+	// sched is the pool every shard's tasks run on; Start and Close start
+	// and stop it, once for the whole cluster.
+	sched *Scheduler
 
 	// gathers tracks in-flight gather completions so Drain covers the window
 	// between the last shard's sink and the merged result's delivery.
@@ -203,34 +211,35 @@ type Cluster struct {
 	finished int64
 }
 
-// NewCluster creates n engine shards over a shared artifact bus. Each shard
-// is configured from opts with the bus wired in; opts.Bus, when set, is used
-// as the cluster's bus (letting tests observe it), otherwise a fresh exchange
-// is created. Only shard 0 keeps the periodic sweep — one sweeper per bus,
+// NewCluster creates n engine shards over a shared artifact bus, all running
+// on one pool of n×opts.Workers workers (started unless opts.StartPaused).
+// Each shard is configured from opts with the bus wired in; opts.Bus, when
+// set, is used as the cluster's bus (letting tests observe it), otherwise a
+// fresh exchange is created. A lone shard has no peer to share a bus with:
+// unless opts.Bus is set it keeps a private exchange, exactly as New's
+// engine does. Only shard 0 keeps the periodic sweep — one sweeper per bus,
 // not one per shard, so sweep cadence does not scale with the shard count.
 func NewCluster(n int, opts Options) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: cluster of %d shards", n)
 	}
-	bus := opts.Bus
-	if bus == nil {
-		bus = storage.NewExchange()
+	sched, err := NewScheduler(n * opts.Workers)
+	if err != nil {
+		return nil, err
 	}
-	c := &Cluster{bus: bus}
+	if opts.Bus == nil && n > 1 {
+		opts.Bus = storage.NewExchange()
+	}
+	c := &Cluster{sched: sched}
 	for i := 0; i < n; i++ {
 		o := opts
-		o.Bus = bus
 		if i > 0 {
 			o.SweepInterval = 0
 		}
-		e, err := New(o)
-		if err != nil {
-			for _, prev := range c.shards {
-				prev.Close()
-			}
-			return nil, err
-		}
-		c.shards = append(c.shards, e)
+		c.shards = append(c.shards, newEngine(o, sched))
+	}
+	if !opts.StartPaused {
+		sched.Start()
 	}
 	return c, nil
 }
@@ -241,16 +250,9 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 // Shard returns shard i's engine (for per-shard stats and direct submission).
 func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 
-// Bus returns the shared artifact bus.
-func (c *Cluster) Bus() *storage.Exchange { return c.bus }
-
-// Start launches every paused shard's processors (no-op for shards created
+// Start launches a paused cluster's pool (no-op for a cluster created
 // running).
-func (c *Cluster) Start() {
-	for _, e := range c.shards {
-		e.Start()
-	}
-}
+func (c *Cluster) Start() { c.sched.Start() }
 
 // Drain stops admission on every shard and blocks until all in-flight
 // queries — including scattered ones awaiting their gather — have completed.
@@ -261,11 +263,12 @@ func (c *Cluster) Drain() {
 	c.gathers.Wait()
 }
 
-// Close shuts every shard down. Idempotent per shard.
+// Close shuts every shard down, then stops the pool. Idempotent.
 func (c *Cluster) Close() {
 	for _, e := range c.shards {
 		e.Close()
 	}
+	c.sched.Stop()
 }
 
 // Scatters returns the number of plans executed scatter-gather.

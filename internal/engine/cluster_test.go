@@ -304,3 +304,61 @@ func TestClusterShardCountMismatch(t *testing.T) {
 		t.Fatal("2-shard plan accepted by a 4-shard cluster")
 	}
 }
+
+// Shards are partitions over one pool, not pools of their own: on a cluster
+// of two one-worker shards, work submitted only to shard 1 must also run on
+// the worker shard 0 leaves idle — the pool records steals — and every
+// result must equal what a serial single-worker engine returns.
+func TestClusterIdleShardStealsWork(t *testing.T) {
+	db := testDB(t)
+	serial := newEngine(t, engine.Options{Workers: 1})
+	var specs []engine.QuerySpec
+	var want []string
+	for _, f := range tpch.Families() {
+		spec := f.Spec(db, 0, 0)
+		h, err := serial.Submit(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+		want = append(want, renderRows(ref))
+	}
+
+	c := newCluster(t, 2, engine.Options{Workers: 1, StartPaused: true})
+	sh := c.Shard(1)
+	// Whether a given round steals depends on how the two workers
+	// interleave; a shared pool steals within a few rounds, separate
+	// one-worker pools never do.
+	for round := 0; round < 20 && sh.Steals() == 0; round++ {
+		var hs []*engine.Handle
+		for rep := 0; rep < 2; rep++ {
+			for _, spec := range specs {
+				h, err := sh.Submit(spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			}
+		}
+		c.Start()
+		for i, h := range hs {
+			got, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := renderRows(got); r != want[i%len(specs)] {
+				t.Fatalf("round %d: %s on shard 1 differs from the serial run", round, specs[i%len(specs)].Signature)
+			}
+		}
+	}
+	if sh.Steals() == 0 {
+		t.Fatal("shard 0's worker never took shard 1's work: the shards do not share a pool")
+	}
+	if c.Shard(0).Completed() != 0 {
+		t.Errorf("shard 0 completed %d queries, want 0: work was submitted to shard 1 only", c.Shard(0).Completed())
+	}
+}

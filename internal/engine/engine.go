@@ -44,7 +44,10 @@ func (m FanOutMode) String() string {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the emulated processor count n (required, ≥ 1).
+	// Workers is the emulated processor count n (required, ≥ 1). A Cluster
+	// of k shards runs them all on one pool of k×Workers workers, so here it
+	// is each shard's share of that pool; a shard's Workers(), its parallel
+	// degree cap and its model environment stay at this share.
 	Workers int
 	// QueueCap is the page capacity of inter-operator queues (default 8).
 	// Finite capacity makes slow consumers throttle producers.
@@ -302,9 +305,12 @@ func (g *shareGroup) firstError() error {
 // Engine is the staged execution engine.
 type Engine struct {
 	sched *Scheduler
-	opts  Options
-	clock *busyClock
-	scans *storage.ScanRegistry
+	// ownsSched marks a private pool, which Close stops. Cluster shards
+	// share their cluster's pool and leave it to the cluster.
+	ownsSched bool
+	opts      Options
+	clock     *busyClock
+	scans     *storage.ScanRegistry
 	// cache is the keep-alive shared-artifact cache (nil = retention off).
 	cache     *artifact.Cache
 	closeOnce sync.Once
@@ -355,13 +361,26 @@ type Engine struct {
 	calibNS float64
 }
 
-// New creates and starts an engine emulating opts.Workers processors.
+// New creates and starts an engine emulating opts.Workers processors on a
+// worker pool of its own.
 func New(opts Options) (*Engine, error) {
-	opts = opts.withDefaults()
 	sched, err := NewScheduler(opts.Workers)
 	if err != nil {
 		return nil, err
 	}
+	e := newEngine(opts, sched)
+	e.ownsSched = true
+	if !opts.StartPaused {
+		sched.Start()
+	}
+	return e, nil
+}
+
+// newEngine builds an engine whose tasks run on sched. It neither starts
+// nor stops sched: that is the owner's job (New for a private pool, the
+// Cluster for the pool its shards share).
+func newEngine(opts Options, sched *Scheduler) *Engine {
+	opts = opts.withDefaults()
 	scans := opts.Bus
 	if scans == nil {
 		scans = storage.NewExchange()
@@ -383,14 +402,12 @@ func New(opts Options) (*Engine, error) {
 	if opts.SweepInterval > 0 {
 		e.StartSweep(opts.SweepInterval, opts.SweepAge)
 	}
-	if !opts.StartPaused {
-		sched.Start()
-	}
-	return e, nil
+	return e
 }
 
 // Start launches a paused engine's processors. It is idempotent and a no-op
-// for engines created running.
+// for engines created running. On a cluster shard it starts the pool every
+// shard runs on.
 func (e *Engine) Start() { e.sched.Start() }
 
 // StartSweep launches the background exchange sweep on the given cadence —
@@ -419,7 +436,8 @@ func (e *Engine) StartSweep(every, maxAge time.Duration) bool {
 }
 
 // Close shuts the engine down. Outstanding queries are abandoned, the
-// periodic sweep (if any) stops. Idempotent.
+// periodic sweep (if any) stops. Idempotent. A cluster shard leaves the
+// shared pool running: Cluster.Close stops it.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.mu.Lock()
@@ -429,7 +447,9 @@ func (e *Engine) Close() {
 		if stop != nil {
 			close(stop)
 		}
-		e.sched.Stop()
+		if e.ownsSched {
+			e.sched.Stop()
+		}
 	})
 }
 
@@ -463,7 +483,8 @@ func (e *Engine) Draining() bool {
 	return e.drained != nil
 }
 
-// Workers returns the emulated processor count.
+// Workers returns the emulated processor count: Options.Workers, which on a
+// cluster shard is the shard's share of the pool.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Completed returns the number of queries finished since startup.
@@ -478,7 +499,8 @@ func (e *Engine) BusyTimes() map[string]time.Duration { return e.clock.snapshot(
 
 // Steals returns the number of tasks the scheduler's workers have taken from
 // peers' run queues since startup — nonzero steals under load show the
-// work-stealing balancer is moving work off hot queues.
+// work-stealing balancer is moving work off hot queues. A cluster shard
+// reports its pool's count, which every shard shares.
 func (e *Engine) Steals() int64 { return e.sched.Steals() }
 
 // InflightAttaches returns the number of queries that joined a sharing

@@ -11,8 +11,26 @@ import (
 // and the model-accuracy audit — into the given registry, all as closures
 // over state the engine already maintains: scraping samples, the hot paths
 // pay nothing. labels (e.g. a shard id) are attached to every series so
-// multiple engines can share one registry.
+// multiple engines can share one registry. A cluster registers its shards
+// through Cluster.RegisterMetrics instead, which counts their one pool once.
 func (e *Engine) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
+	e.registerMetrics(r, labels)
+	registerSchedMetrics(r, e.sched, labels)
+}
+
+// registerSchedMetrics registers a worker pool's scheduler and page-queue
+// series.
+func registerSchedMetrics(r *obs.Registry, s *Scheduler, labels obs.Labels) {
+	r.CounterFunc("cordoba_sched_steals_total", "Tasks taken from a peer worker's run queue.", labels, func() float64 { return float64(s.Steals()) })
+	r.CounterFunc("cordoba_sched_parks_total", "Idle-park episodes (worker found every queue empty).", labels, func() float64 { return float64(s.Parks()) })
+	r.GaugeFunc("cordoba_sched_runqueue_depth", "Runnable tasks currently enqueued across workers.", labels, func() float64 { return float64(s.RunQueueDepth()) })
+	r.GaugeFunc("cordoba_sched_live_tasks", "Tasks spawned and not yet done.", labels, func() float64 { return float64(s.Live()) })
+	r.GaugeFunc("cordoba_pagequeue_buffered_pages", "Pages buffered across every inter-operator queue.", labels, func() float64 { return float64(s.QueuedPages()) })
+}
+
+// registerMetrics registers the engine's own series, everything but its
+// worker pool's.
+func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	cf := func(name, help string, fn func() int64) {
 		r.CounterFunc(name, help, labels, func() float64 { return float64(fn()) })
 	}
@@ -41,15 +59,6 @@ func (e *Engine) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	cf("cordoba_compile_hits_total", "Submissions served by a memoized compile artifact.", e.CompileHits)
 	cf("cordoba_compile_misses_total", "Submissions that compiled fresh.", e.CompileMisses)
 
-	// Scheduler.
-	cf("cordoba_sched_steals_total", "Tasks taken from a peer worker's run queue.", e.sched.Steals)
-	cf("cordoba_sched_parks_total", "Idle-park episodes (worker found every queue empty).", e.sched.Parks)
-	gf("cordoba_sched_runqueue_depth", "Runnable tasks currently enqueued across workers.", func() float64 { return float64(e.sched.RunQueueDepth()) })
-	gf("cordoba_sched_live_tasks", "Tasks spawned and not yet done.", func() float64 { return float64(e.sched.Live()) })
-
-	// Page queues.
-	gf("cordoba_pagequeue_buffered_pages", "Pages buffered across every inter-operator queue.", func() float64 { return float64(e.sched.QueuedPages()) })
-
 	// Work exchange (queue-depth style gauges over the shared-artifact
 	// registry).
 	gf("cordoba_exchange_entries", "Live work-exchange entries of every kind.", func() float64 { return float64(e.scans.Entries()) })
@@ -76,16 +85,21 @@ func (e *Engine) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 }
 
 // RegisterMetrics registers every shard's series — each under a shard="<i>"
-// label merged into labels — plus the cluster's own routing counters.
+// label merged into labels when there is more than one shard — plus the
+// pool's scheduler series, once, and the cluster's own routing counters.
 func (c *Cluster) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	for i, e := range c.shards {
-		l := make(obs.Labels, len(labels)+1)
-		for k, v := range labels {
-			l[k] = v
+		l := labels
+		if len(c.shards) > 1 {
+			l = make(obs.Labels, len(labels)+1)
+			for k, v := range labels {
+				l[k] = v
+			}
+			l["shard"] = strconv.Itoa(i)
 		}
-		l["shard"] = strconv.Itoa(i)
-		e.RegisterMetrics(r, l)
+		e.registerMetrics(r, l)
 	}
+	registerSchedMetrics(r, c.sched, labels)
 	r.CounterFunc("cordoba_cluster_scatters_total", "Plans executed scatter-gather.", labels, func() float64 { return float64(c.Scatters()) })
 	r.CounterFunc("cordoba_cluster_routed_total", "Plans routed whole to a single shard.", labels, func() float64 { return float64(c.Routed()) })
 	r.CounterFunc("cordoba_cluster_finished_total", "Cluster-level queries completed (scattered plans count once, at their gather).", labels, func() float64 { return float64(c.Finished()) })

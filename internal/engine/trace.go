@@ -32,7 +32,8 @@ func (e *Engine) Audit() *obs.Audit { return e.audit }
 
 // Parks returns the number of idle-park episodes the scheduler's workers
 // have taken since startup — the complement of Steals for judging whether
-// the work-stealing balancer keeps workers fed.
+// the work-stealing balancer keeps workers fed. A cluster shard reports its
+// pool's count.
 func (e *Engine) Parks() int64 { return e.sched.Parks() }
 
 // Trace returns the handle's lifecycle trace.

@@ -7,11 +7,11 @@ import (
 	"repro/internal/storage"
 )
 
-// This file assembles the server's unified metrics registry: every engine
-// (or every cluster shard, labelled shard="<i>"), the server's own
-// admission-path counters, and the process-wide page pool, all exported in
-// Prometheus text format by MetricsHandler — the payload behind cordobad's
-// -metrics endpoint.
+// This file assembles the server's unified metrics registry: the cluster
+// (its shards labelled shard="<i>" when there are several, its one worker
+// pool once), the server's own admission-path counters, and the
+// process-wide page pool, all exported in Prometheus text format by
+// MetricsHandler — the payload behind cordobad's -metrics endpoint.
 
 // Metrics returns the server's metrics registry, building it on first use.
 // Registration is closure-based sampling, so the registry adds no cost to
@@ -19,11 +19,7 @@ import (
 func (s *Server) Metrics() *obs.Registry {
 	s.metricsOnce.Do(func() {
 		r := obs.NewRegistry()
-		if s.cluster != nil {
-			s.cluster.RegisterMetrics(r, nil)
-		} else {
-			s.eng.RegisterMetrics(r, nil)
-		}
+		s.cluster.RegisterMetrics(r, nil)
 
 		// Server front door: admission outcomes and backlog. The snapshot
 		// closure keeps one lock acquisition per scrape of these.
@@ -59,15 +55,6 @@ func (s *Server) Metrics() *obs.Registry {
 					defer s.mu.Unlock()
 					return float64(s.admissions[d])
 				})
-		}
-		if s.cluster != nil {
-			r.CounterFunc("cordoba_cluster_steals_total", "Scheduler steals summed across shards.", nil, func() float64 {
-				var n int64
-				for i := 0; i < s.cluster.NumShards(); i++ {
-					n += s.cluster.Shard(i).Steals()
-				}
-				return float64(n)
-			})
 		}
 
 		// Process-wide page pool.

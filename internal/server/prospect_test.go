@@ -31,9 +31,10 @@ func TestShareKeyOfMatchesShareKey(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e, spec := s.eng, p.spec
-					if p.sharded {
-						e, spec = s.cluster.Shard(0), p.plan.Shards[0]
+					sharded := len(p.plan.Shards) > 0
+					e, spec := s.cluster.Shard(0), p.plan.Template
+					if sharded {
+						spec = p.plan.Shards[0]
 					}
 					check := func(when string) {
 						t.Helper()
@@ -50,21 +51,15 @@ func TestShareKeyOfMatchesShareKey(t *testing.T) {
 					// whole, running its template on one shard instead.
 					run := func() bool {
 						t.Helper()
-						var h *engine.Handle
-						scatters := int64(0)
-						if p.sharded {
-							scatters = s.cluster.Scatters()
-							h, err = s.cluster.Submit(p.plan, nil)
-						} else {
-							h, err = s.eng.Submit(p.spec, nil)
-						}
+						scatters := s.cluster.Scatters()
+						h, err := s.cluster.Submit(p.plan, nil)
 						if err == nil {
 							_, err = h.Wait()
 						}
 						if err != nil {
 							t.Fatalf("%s/%d: %v", f.Name, v, err)
 						}
-						return !p.sharded || s.cluster.Scatters() > scatters
+						return !sharded || s.cluster.Scatters() > scatters
 					}
 					check("cold")
 					if run() && !raceEnabled {

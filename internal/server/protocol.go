@@ -106,8 +106,8 @@ type Stats struct {
 	CompileHits   int64 `json:"compile_hits,omitempty"`
 	CompileMisses int64 `json:"compile_misses,omitempty"`
 	// Steals/Parks mirror the scheduler's work-stealing balance: tasks taken
-	// from a peer worker's queue, and idle-park episodes (summed across
-	// shards on a sharded server).
+	// from a peer worker's queue, and idle-park episodes (of the one pool
+	// every shard runs on).
 	Steals int64 `json:"steals,omitempty"`
 	Parks  int64 `json:"parks,omitempty"`
 	// PoolGets/PoolHits/PoolPuts mirror the process-wide page pool: column

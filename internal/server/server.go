@@ -23,15 +23,17 @@ import (
 type Config struct {
 	// DB is the generated TPC-H instance queries run against.
 	DB *tpch.DB
-	// Shards partitions execution across this many engine shards (0 or 1 =
-	// one engine, the classic topology). Sharded servers range-partition the
-	// database once at startup, compile every family's scatter-gather plan,
-	// and route submissions through an engine.Cluster: scatterable queries
-	// fan out across the shards and merge at a gather stage, small ones
-	// route whole round-robin, and the cross-shard artifact bus deduplicates
-	// replicated build subtrees cluster-wide.
+	// Shards partitions the data across this many engine shards (0 or 1 =
+	// a cluster of one, the classic topology). Every topology submits
+	// through an engine.Cluster whose shards share one pool of
+	// Shards×Engine.Workers workers. Sharded servers range-partition the
+	// database once at startup and compile every family's scatter-gather
+	// plan: scatterable queries fan out across the shards and merge at a
+	// gather stage, small ones route whole round-robin, and the cross-shard
+	// artifact bus deduplicates replicated build subtrees cluster-wide.
 	Shards int
-	// Engine configures the embedded engine (Workers required).
+	// Engine configures each shard (Workers required: each shard's share of
+	// the pool).
 	Engine engine.Options
 	// Policy is the sharing policy submissions run under (nil = never
 	// share).
@@ -54,12 +56,12 @@ type Config struct {
 }
 
 // Server is the cordobad front door: a TCP listener speaking the line-JSON
-// protocol, admission control in front of one shared engine.
+// protocol, admission control in front of one engine cluster (of one shard
+// unless Config.Shards says more).
 type Server struct {
 	cfg       Config
-	eng       *engine.Engine
-	cluster   *engine.Cluster             // non-nil when Config.Shards > 1
-	plans     map[string]engine.ShardPlan // "<family>/<variant>" → scatter-gather plan
+	cluster   *engine.Cluster
+	plans     map[string]engine.ShardPlan // "<family>/<variant>" → scatter-gather plan; nil on one shard
 	env       core.Env
 	maxDegree int
 	window    int
@@ -106,13 +108,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Engine.Cache != nil {
 		debug.SetGCPercent(retentionGCPercent)
 	}
-	var (
-		eng     *engine.Engine
-		cluster *engine.Cluster
-		plans   map[string]engine.ShardPlan
-	)
-	if cfg.Shards > 1 {
-		sdb, err := tpch.NewShardedDB(cfg.DB, cfg.Shards)
+	shards := max(cfg.Shards, 1)
+	var plans map[string]engine.ShardPlan
+	if shards > 1 {
+		sdb, err := tpch.NewShardedDB(cfg.DB, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -120,25 +119,14 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		cluster, err = engine.NewCluster(cfg.Shards, cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		eng = cluster.Shard(0)
-	} else {
-		var err error
-		eng, err = engine.New(cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
+	}
+	cluster, err := engine.NewCluster(shards, cfg.Engine)
+	if err != nil {
+		return nil, err
 	}
 	// Capacity-dependent defaults scale with the topology: a k-shard cluster
-	// has k×Workers emulated processors, so the model environment and the
-	// admission window both widen with it.
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	// has k×Workers emulated processors in one pool, so the model
+	// environment and the admission window both widen with it.
 	env := cfg.Env
 	if env == (core.Env{}) {
 		env = core.NewEnv(float64(cfg.Engine.Workers * shards))
@@ -157,7 +145,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:        cfg,
-		eng:        eng,
 		cluster:    cluster,
 		plans:      plans,
 		env:        env,
@@ -170,12 +157,12 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Engine exposes the embedded engine (benchmarks warm its cache directly).
-// On a sharded server it is shard 0.
-func (s *Server) Engine() *engine.Engine { return s.eng }
+// Engine exposes shard 0 of the server's cluster: on an unsharded server,
+// the one engine. Its Start starts the whole pool of a paused server.
+func (s *Server) Engine() *engine.Engine { return s.cluster.Shard(0) }
 
-// Cluster exposes the engine cluster of a sharded server (nil when
-// Config.Shards <= 1).
+// Cluster exposes the server's engine cluster: never nil, of one shard on an
+// unsharded server.
 func (s *Server) Cluster() *engine.Cluster { return s.cluster }
 
 // Serve accepts connections on ln until the listener is closed (by Shutdown
@@ -299,29 +286,21 @@ func candidates(spec engine.QuerySpec) []core.Query {
 // fan-out share key at the spec's declared pivot (the join for Q4 and Q13),
 // which the engine reads from its compile memo, so a warm call renders
 // nothing. A group registered only under a build-state key (the "!build"
-// namespace of a build-side pivot candidate) is not among them. On a
-// sharded server the prospect spans the cluster: each shard is consulted
-// for its shard-qualified signature and for shard 0's fan-out key, which
+// namespace of a build-side pivot candidate) is not among them. A plan
+// with shard forms spans the cluster: each shard is consulted for its
+// shard-qualified signature and for shard 0's fan-out key, which
 // canonicalizes identically on every shard when the subtree below the pivot
-// is replicated.
+// is replicated. A route-whole plan is looked up on shard 0.
 func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
+	forms := p.plan.Shards
+	if len(forms) == 0 {
+		forms = []engine.QuerySpec{p.plan.Template}
+	}
+	bk := s.cluster.Shard(0).ShareKeyOf(forms[0])
 	var g int
-	if s.cluster != nil && len(p.plan.Shards) > 0 {
-		bk := s.cluster.Shard(0).ShareKeyOf(p.plan.Shards[0])
-		for i, sh := range p.plan.Shards {
-			e := s.cluster.Shard(i)
-			if k := e.GroupSize(sh.Signature); k > g {
-				g = k
-			}
-			if k := e.GroupSize(bk); k > g {
-				g = k
-			}
-		}
-	} else {
-		g = s.eng.GroupSize(p.spec.Signature)
-		if k := s.eng.GroupSize(s.eng.ShareKeyOf(p.spec)); k > g {
-			g = k
-		}
+	for i, sh := range forms {
+		e := s.cluster.Shard(i)
+		g = max(g, e.GroupSize(sh.Signature), e.GroupSize(bk))
 	}
 	if g >= 1 {
 		return g + 1, 1
@@ -330,8 +309,8 @@ func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
 }
 
 // pendingFor resolves a query request into the submission admission
-// prices: the family's spec, or on a sharded server its precompiled
-// scatter-gather plan, and the candidate models.
+// prices: the route-whole plan of the family's spec, or on a sharded server
+// its precompiled scatter-gather plan, and the candidate models.
 func (s *Server) pendingFor(req Request) (*pending, error) {
 	fam, ok := tpch.FamilyByName(req.Family)
 	if !ok {
@@ -352,12 +331,10 @@ func (s *Server) pendingFor(req Request) (*pending, error) {
 			v += sf.Variants
 		}
 		p.plan = s.plans[fmt.Sprintf("%s/%d", sf.Name, v)]
-		p.sharded = true
-		p.spec = p.plan.Template
 	} else {
-		p.spec = fam.Spec(s.cfg.DB, 0, req.Variant)
+		p.plan = engine.ShardPlan{Template: fam.Spec(s.cfg.DB, 0, req.Variant)}
 	}
-	p.cands = candidates(p.spec)
+	p.cands = candidates(p.plan.Template)
 	return p, nil
 }
 
@@ -432,7 +409,10 @@ func (s *Server) submitLocked(p *pending, decision string, waited time.Duration)
 	req, c := p.req, p.conn
 	arrived := p.arrived
 	done := func(res *storage.Batch, qerr error) {
-		s.onComplete()
+		// Answer before freeing the window slot: the dispatch the freed slot
+		// allows then follows this reply, so a connection's replies arrive
+		// in dispatch order whenever the window is full.
+		defer s.onComplete()
 		if qerr != nil {
 			s.countError()
 			c.write(Response{ID: req.ID, Status: StatusError, Decision: decision, Error: qerr.Error()})
@@ -450,15 +430,7 @@ func (s *Server) submitLocked(p *pending, decision string, waited time.Duration)
 			LatencyMS: float64(time.Since(arrived)) / float64(time.Millisecond),
 		})
 	}
-	var (
-		h   *engine.Handle
-		err error
-	)
-	if p.sharded {
-		h, err = s.cluster.SubmitFn(p.plan, s.cfg.Policy, done)
-	} else {
-		h, err = s.eng.SubmitFn(p.spec, s.cfg.Policy, done)
-	}
+	h, err := s.cluster.SubmitFn(p.plan, s.cfg.Policy, done)
 	if err == nil {
 		// The admission verdict joins the lifecycle trace here — the trace is
 		// born inside SubmitFn, so the admit span lands just after the
@@ -517,11 +489,7 @@ func (s *Server) Drain() {
 	for _, p := range backlog {
 		p.conn.write(Response{ID: p.req.ID, Status: StatusShed, Decision: DecisionDraining})
 	}
-	if s.cluster != nil {
-		s.cluster.Drain()
-	} else {
-		s.eng.Drain()
-	}
+	s.cluster.Drain()
 }
 
 // Shutdown is the SIGTERM path: close listeners (stop accepting), drain,
@@ -542,11 +510,7 @@ func (s *Server) Shutdown() {
 	}
 	s.lnMu.Unlock()
 	s.connWG.Wait()
-	if s.cluster != nil {
-		s.cluster.Close()
-	} else {
-		s.eng.Close()
-	}
+	s.cluster.Close()
 }
 
 // Stats snapshots the server and engine counters.
@@ -565,69 +529,53 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Unlock()
 	st.PoolGets, st.PoolHits, st.PoolPuts = storage.PagePoolStats()
-	if s.cluster != nil {
-		// Sharded: the engine counters aggregate the cluster, and Shards
-		// carries one row per engine so a stats probe sees where the work
-		// actually landed.
-		st.Scatters = s.cluster.Scatters()
-		st.Routed = s.cluster.Routed()
-		st.HashBuilds = s.cluster.HashBuilds()
-		st.BuildJoins = s.cluster.BuildJoins()
-		st.BusJoins = s.cluster.BusJoins()
-		st.CompileHits, st.CompileMisses = s.cluster.CompileHits(), s.cluster.CompileMisses()
-		pj := make(map[int]int64)
-		for i := 0; i < s.cluster.NumShards(); i++ {
-			e := s.cluster.Shard(i)
-			st.Active += e.Active()
-			st.InflightAttaches += e.InflightAttaches()
-			st.Steals += e.Steals()
-			st.Parks += e.Parks()
-			for lvl, n := range e.PivotLevelJoins() {
-				pj[lvl] += n
-			}
-			st.Shards = append(st.Shards, ShardStats{
-				Shard:         i,
-				Active:        e.Active(),
-				Completed:     e.Completed(),
-				HashBuilds:    e.HashBuilds(),
-				BuildJoins:    e.BuildJoins(),
-				BusJoins:      e.BusJoins(),
-				CompileHits:   e.CompileHits(),
-				CompileMisses: e.CompileMisses(),
-			})
+	c := s.cluster
+	st.HashBuilds, st.BuildJoins, st.BusJoins = c.HashBuilds(), c.BuildJoins(), c.BusJoins()
+	st.CompileHits, st.CompileMisses = c.CompileHits(), c.CompileMisses()
+	// The shards run on one pool, so any shard's scheduler counters are the
+	// pool's: read them once.
+	st.Steals, st.Parks = c.Shard(0).Steals(), c.Shard(0).Parks()
+	cs := c.CacheStats()
+	st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes = cs.Hits, cs.Misses, cs.Evictions, cs.Bytes
+	pj := make(map[int]int64)
+	rows := make([]ShardStats, c.NumShards())
+	for i := range rows {
+		e := c.Shard(i)
+		st.Active += e.Active()
+		st.InflightAttaches += e.InflightAttaches()
+		for lvl, n := range e.PivotLevelJoins() {
+			pj[lvl] += n
 		}
-		if len(pj) > 0 {
-			st.PivotJoins = pj
+		rows[i] = ShardStats{
+			Shard:         i,
+			Active:        e.Active(),
+			Completed:     e.Completed(),
+			HashBuilds:    e.HashBuilds(),
+			BuildJoins:    e.BuildJoins(),
+			BusJoins:      e.BusJoins(),
+			CompileHits:   e.CompileHits(),
+			CompileMisses: e.CompileMisses(),
 		}
-		cs := s.cluster.CacheStats()
-		st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes = cs.Hits, cs.Misses, cs.Evictions, cs.Bytes
-		return st
 	}
-	st.Active = s.eng.Active()
-	st.HashBuilds = s.eng.HashBuilds()
-	st.BuildJoins = s.eng.BuildJoins()
-	st.InflightAttaches = s.eng.InflightAttaches()
-	if pj := s.eng.PivotLevelJoins(); len(pj) > 0 {
+	if len(pj) > 0 {
 		st.PivotJoins = pj
 	}
-	cs := s.eng.CacheStats()
-	st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes = cs.Hits, cs.Misses, cs.Evictions, cs.Bytes
-	st.CompileHits, st.CompileMisses = s.eng.CompileHits(), s.eng.CompileMisses()
-	st.Steals, st.Parks = s.eng.Steals(), s.eng.Parks()
+	if len(rows) > 1 {
+		// Sharded: the routing counters and one row per shard, so a stats
+		// probe sees where the work actually landed.
+		st.Scatters, st.Routed, st.Shards = c.Scatters(), c.Routed(), rows
+	}
 	return st
 }
 
-// Traces snapshots up to limit recent query lifecycle traces per engine
-// (oldest first; limit <= 0 applies a default of 32). On a sharded server
-// every shard's ring is dumped in shard order — a scattered query shows up
-// once as the coordinator's scatter/gather trace (on shard 0's ring) and
-// once per shard for its partial forms.
+// Traces snapshots up to limit recent query lifecycle traces per shard
+// (oldest first; limit <= 0 applies a default of 32). Every shard's ring is
+// dumped in shard order — a scattered query shows up once as the
+// coordinator's scatter/gather trace (on shard 0's ring) and once per shard
+// for its partial forms.
 func (s *Server) Traces(limit int) []obs.TraceRecord {
 	if limit <= 0 {
 		limit = 32
-	}
-	if s.cluster == nil {
-		return s.eng.Tracer().Recent(limit)
 	}
 	var out []obs.TraceRecord
 	for i := 0; i < s.cluster.NumShards(); i++ {

@@ -81,14 +81,23 @@ func (w *wire) send(req server.Request) {
 func (w *wire) recv(n int) map[string]server.Response {
 	w.t.Helper()
 	out := make(map[string]server.Response, n)
-	deadline := time.Now().Add(30 * time.Second)
-	w.nc.SetReadDeadline(deadline)
+	for _, resp := range w.recvInOrder(n) {
+		out[resp.ID] = resp
+	}
+	return out
+}
+
+// recvInOrder reads n responses and returns them in the order they arrived.
+func (w *wire) recvInOrder(n int) []server.Response {
+	w.t.Helper()
+	out := make([]server.Response, 0, n)
+	w.nc.SetReadDeadline(time.Now().Add(30 * time.Second))
 	for len(out) < n && w.sc.Scan() {
 		var resp server.Response
 		if err := json.Unmarshal(w.sc.Bytes(), &resp); err != nil {
 			w.t.Fatalf("bad response line %q: %v", w.sc.Text(), err)
 		}
-		out[resp.ID] = resp
+		out = append(out, resp)
 	}
 	if len(out) < n {
 		w.t.Fatalf("got %d/%d responses (scan err: %v)", len(out), n, w.sc.Err())
@@ -148,6 +157,11 @@ func TestServerServesFamilies(t *testing.T) {
 	resps = w.recv(3)
 	if st := resps["stats"]; st.Status != server.StatusOK || st.Stats == nil || st.Stats.Completed != int64(n) {
 		t.Fatalf("stats response: %+v", st)
+	}
+	// An unsharded server is a cluster of one, but its stats read as one
+	// engine's: no shard rows and no routing counters.
+	if st := resps["stats"].Stats; st.Shards != nil || st.Scatters != 0 || st.Routed != 0 || st.BusJoins != 0 {
+		t.Fatalf("unsharded stats carry cluster fields: %+v", st)
 	}
 	if resps["ping"].Status != server.StatusOK {
 		t.Fatalf("ping response: %+v", resps["ping"])
@@ -355,19 +369,26 @@ func TestServerTenantRoundRobin(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	s.Engine().Start()
-	resps := w.recv(5)
-	for id, resp := range resps {
+	// Window=1 serializes dispatch, and the server answers a query before
+	// its slot admits the next one, so the order replies arrive on the one
+	// connection is the dispatch order. (Queue waits are no proxy for it:
+	// they count from each request's arrival.) a0 before b0 is allowed in
+	// either order (rotation start is an implementation detail), but each
+	// tenant's own FIFO order must hold.
+	var order []string
+	for _, resp := range w.recvInOrder(5) {
 		if resp.Status != server.StatusOK {
-			t.Fatalf("%s: %+v", id, resp)
+			t.Fatalf("%s: %+v", resp.ID, resp)
 		}
+		order = append(order, resp.ID)
 	}
-	// Window=1 serializes dispatch, so queue waits order the dispatches:
-	// a0 before b0 is allowed in either order (rotation start is an
-	// implementation detail), but each tenant's own FIFO order must hold.
-	if resps["a0"].QueueMS > resps["a1"].QueueMS {
-		t.Fatalf("tenant a FIFO violated: a0 waited %.2fms, a1 %.2fms", resps["a0"].QueueMS, resps["a1"].QueueMS)
+	pos := make(map[string]int, len(order))
+	for i, id := range order {
+		pos[id] = i
 	}
-	if resps["b0"].QueueMS > resps["b1"].QueueMS {
-		t.Fatalf("tenant b FIFO violated: b0 waited %.2fms, b1 %.2fms", resps["b0"].QueueMS, resps["b1"].QueueMS)
+	for _, tenant := range []string{"a", "b"} {
+		if pos[tenant+"0"] > pos[tenant+"1"] {
+			t.Fatalf("tenant %s FIFO violated: dispatch order %v", tenant, order)
+		}
 	}
 }

@@ -13,13 +13,11 @@ import (
 type pending struct {
 	req     Request
 	conn    *conn
-	spec    engine.QuerySpec
 	cands   []core.Query
 	arrived time.Time
-	// plan is the precompiled scatter-gather form a sharded server routes
-	// through; sharded marks it valid (spec then aliases plan.Template).
-	plan    engine.ShardPlan
-	sharded bool
+	// plan is what the cluster submits: a sharded server's precompiled
+	// scatter-gather form, or the route-whole plan of the family's spec.
+	plan engine.ShardPlan
 	// benefit is the predicted post-admission completion rate of this query
 	// (core.AdmitBenefit at enqueue time); when the global queue overflows,
 	// the entry with the lowest benefit is shed first.

@@ -136,6 +136,10 @@ func TestServerMetricsExposition(t *testing.T) {
 		}
 	}
 
+	if strings.Contains(out, `shard="`) {
+		t.Fatalf("an unsharded server's exposition carries a shard label:\n%s", out)
+	}
+
 	// The sharded topology registers every shard under a shard label.
 	sh, _ := startServer(t, server.Config{
 		DB:     db(t),
@@ -151,5 +155,71 @@ func TestServerMetricsExposition(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("sharded exposition missing %q", want)
 		}
+	}
+}
+
+// A sharded server runs every shard on one worker pool, so its scheduler
+// counters exist once: Stats().Steals is the pool's count (which every
+// shard reports alike), and the Prometheus exposition carries each
+// cordoba_sched_* and page-queue series exactly once, with no per-shard
+// copies and no steals summed across shards.
+func TestServerShardedPoolCountersOnce(t *testing.T) {
+	const workers = 1
+	s, addr := startServer(t, server.Config{
+		DB:     db(t),
+		Shards: 2,
+		Engine: engine.Options{Workers: workers, FanOut: engine.FanOutShare},
+		Policy: subplanPolicy(t, workers),
+	})
+	w := dialWire(t, addr)
+	for i := 0; i < 8; i++ {
+		w.send(server.Request{ID: fmt.Sprint(i), Family: "Q1", Variant: i})
+	}
+	for id, resp := range w.recv(8) {
+		if resp.Status != server.StatusOK {
+			t.Fatalf("%s: %+v", id, resp)
+		}
+	}
+
+	s.Drain() // every task done: no steal lands between the reads below
+	st := s.Stats()
+	c := s.Cluster()
+	for i := 0; i < c.NumShards(); i++ {
+		if got := c.Shard(i).Steals(); got != st.Steals {
+			t.Errorf("shard %d reports %d steals, Stats %d: not one pool's count", i, got, st.Steals)
+		}
+	}
+
+	var b strings.Builder
+	if err := s.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "cordoba_sched_") || strings.HasPrefix(name, "cordoba_pagequeue_") ||
+			strings.HasPrefix(name, "cordoba_cluster_steals") {
+			seen[name]++
+		}
+	}
+	for _, name := range []string{
+		"cordoba_sched_steals_total",
+		"cordoba_sched_parks_total",
+		"cordoba_sched_runqueue_depth",
+		"cordoba_sched_live_tasks",
+		"cordoba_pagequeue_buffered_pages",
+	} {
+		if seen[name] != 1 {
+			t.Errorf("%s appears %d times, want once (seen %v)", name, seen[name], seen)
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("unexpected pool series %v", seen)
+	}
+	if want := fmt.Sprintf("cordoba_sched_steals_total %d\n", st.Steals); !strings.Contains(b.String(), want) {
+		t.Errorf("exposition lacks %q", want)
 	}
 }

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -71,6 +73,61 @@ func BenchmarkFamilyAlone(b *testing.B) {
 			}
 			gets1, _, _ := storage.PagePoolStats()
 			b.ReportMetric(float64(gets1-gets0)/float64(b.N), "pages/op")
+		})
+	}
+}
+
+// BenchmarkClusterScatter runs each family's variant 0 scattered over a
+// cluster of two one-worker shards at SF 0.01, keeping 4 queries in flight:
+// the cluster scatter/gather layer (partial forms on both shards, the bus,
+// the gather merge) that the benchmark's scatter workload drives through the
+// server.
+func BenchmarkClusterScatter(b *testing.B) {
+	const shards, inflight = 2, 4
+	db := MustGenerate(Config{ScaleFactor: 0.01, Seed: 42})
+	sdb, err := NewShardedDB(db, shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := engine.NewCluster(shards, engine.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for _, f := range ShardFamilies() {
+		b.Run(f.Name, func(b *testing.B) {
+			plan, err := f.Plan(sdb, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			routed := c.Routed()
+			slots := make(chan struct{}, inflight)
+			var wg sync.WaitGroup
+			var failed atomic.Pointer[error]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slots <- struct{}{}
+				wg.Add(1)
+				_, err := c.SubmitFn(plan, nil, func(_ *storage.Batch, err error) {
+					if err != nil {
+						failed.CompareAndSwap(nil, &err)
+					}
+					<-slots
+					wg.Done()
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := failed.Load(); err != nil {
+				b.Fatal(*err)
+			}
+			if c.Routed() != routed {
+				b.Fatalf("%d of %d plans routed whole instead of scattering", c.Routed()-routed, b.N)
+			}
 		})
 	}
 }
