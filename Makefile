@@ -52,8 +52,9 @@ fmt:
 	gofmt -w .
 
 # Mirrors .github/workflows/ci.yml: format check, vet, build, race tests,
-# a one-iteration benchmark smoke so bench code cannot rot, and the server
-# smoke.
+# a one-iteration benchmark smoke so bench code cannot rot, the bench/
+# module (a module of its own, outside ./...: vet, unit tests and a 1 s
+# smoke run of every workload), and the server smoke.
 ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -61,4 +62,5 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	cd bench && $(GO) vet . && $(GO) test .
 	$(MAKE) smoke-server

@@ -131,13 +131,13 @@ func TestBuildShareTwoQueriesOneBuild(t *testing.T) {
 	// Build holds 0..31; variant A probes 0..31, variant B probes 16..63.
 	wantRange(t, "variant A", ra, 0, 32)
 	wantRange(t, "variant B", rb, 16, 32)
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want exactly 1 shared build", got)
 	}
-	if got := e.BuildJoins(); got != 1 {
+	if got := e.Counters().BuildJoins; got != 1 {
 		t.Errorf("BuildJoins = %d, want 1", got)
 	}
-	if got := e.PivotLevelJoins()[0]; got != 1 {
+	if got := e.Counters().PivotJoins[0]; got != 1 {
 		t.Errorf("PivotLevelJoins[0] = %d, want 1", got)
 	}
 }
@@ -189,13 +189,13 @@ func TestBuildShareMixedGroup(t *testing.T) {
 	wantRange(t, "member 1", r1, 0, 32)
 	wantRange(t, "member 2", r2, 0, 32)
 	wantRange(t, "variant B", r3, 16, 32)
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want exactly 1 shared build", got)
 	}
-	if got := e.BuildJoins(); got != 1 {
+	if got := e.Counters().BuildJoins; got != 1 {
 		t.Errorf("BuildJoins = %d, want 1", got)
 	}
-	if got := e.PivotLevelJoins()[2]; got != 1 {
+	if got := e.Counters().PivotJoins[2]; got != 1 {
 		t.Errorf("PivotLevelJoins[2] = %d, want 1 (identical variant at the join)", got)
 	}
 }
@@ -233,7 +233,7 @@ func TestBuildStateRetiresWithLastProber(t *testing.T) {
 	if _, err := h2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.HashBuilds(); got != 2 {
+	if got := e.Counters().HashBuilds; got != 2 {
 		t.Errorf("HashBuilds = %d, want 2 (second arrival rebuilt)", got)
 	}
 }
@@ -284,7 +284,7 @@ func TestBuildShareLateAttach(t *testing.T) {
 	// However the timing fell, the builds executed plus the fresh groups
 	// must account for every query exactly once; with at least one late
 	// attach there are fewer builds than queries.
-	builds, joins := e.HashBuilds(), e.BuildJoins()
+	builds, joins := e.Counters().HashBuilds, e.Counters().BuildJoins
 	if int(builds)+int(joins) != 1+len(extras) {
 		t.Errorf("builds=%d joins=%d for %d queries", builds, joins, 1+len(extras))
 	}

@@ -104,7 +104,7 @@ func (e *Engine) serveResult(h *Handle, res *storage.Batch) {
 		// the artifact — size 2 for the audit's purposes.
 		e.observeCompletion(h, nil, 2, wall)
 		e.mu.Lock()
-		e.completed++
+		e.n.Completed++
 		e.mu.Unlock()
 		close(h.done)
 		if h.onDone != nil {

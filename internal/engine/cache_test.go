@@ -61,13 +61,13 @@ func TestBuildCacheHitAcrossBursts(t *testing.T) {
 	// from the cache, no rebuild.
 	rb := runOne(t, e, specB, buildAnchor{idx: 1})
 	wantRange(t, "burst 2", rb, 16, 32)
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds across bursts = %d, want exactly 1", got)
 	}
-	if got := e.CacheHits(); got != 1 {
+	if got := e.Counters().Cache.Hits; got != 1 {
 		t.Errorf("CacheHits = %d, want 1", got)
 	}
-	if got := e.BuildJoins(); got != 1 {
+	if got := e.Counters().BuildJoins; got != 1 {
 		t.Errorf("BuildJoins = %d, want the cache hit counted as a late attach", got)
 	}
 	// The served group re-offered the table at its retire: still retained.
@@ -88,7 +88,7 @@ func TestBuildRebuildsPerBurstWithoutCache(t *testing.T) {
 	spec := semiSpec(bt, pt, "nc/a", nil)
 	wantRange(t, "burst 1", runOne(t, e, spec, buildAnchor{idx: 1}), 0, 32)
 	wantRange(t, "burst 2", runOne(t, e, spec, buildAnchor{idx: 1}), 0, 32)
-	if got := e.HashBuilds(); got != 2 {
+	if got := e.Counters().HashBuilds; got != 2 {
 		t.Errorf("HashBuilds without cache = %d, want 2 (one per burst)", got)
 	}
 }
@@ -102,13 +102,13 @@ func TestBuildCacheMissAfterExpiry(t *testing.T) {
 	runOne(t, e, spec, buildAnchor{idx: 1})
 	time.Sleep(80 * time.Millisecond)
 	runOne(t, e, spec, buildAnchor{idx: 1})
-	if got := e.HashBuilds(); got != 2 {
+	if got := e.Counters().HashBuilds; got != 2 {
 		t.Errorf("HashBuilds with expired gap = %d, want 2", got)
 	}
 	if s := c.Stats(); s.Expirations < 1 {
 		t.Errorf("Expirations = %d, want at least 1", s.Expirations)
 	}
-	if got := e.CacheHits(); got != 0 {
+	if got := e.Counters().Cache.Hits; got != 0 {
 		t.Errorf("CacheHits = %d, want 0 (entry expired)", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestBuildCacheEpochInvalidation(t *testing.T) {
 	if !seen[40] {
 		t.Error("result after mutation lacks the new build row — stale table was served")
 	}
-	if builds := e.HashBuilds(); builds != 2 {
+	if builds := e.Counters().HashBuilds; builds != 2 {
 		t.Errorf("HashBuilds = %d, want 2 (stale entry rejected, rebuilt)", builds)
 	}
 	// The epoch is baked into the canonical scan fingerprint, so the
@@ -163,12 +163,12 @@ func TestBuildCacheEvictionUnderTightBudget(t *testing.T) {
 	if s.Entries != 1 {
 		t.Errorf("Entries = %d, want 1", s.Entries)
 	}
-	if s.Bytes > 1500 || e.CacheBytes() > 1500 {
+	if s.Bytes > 1500 || e.Counters().Cache.Bytes > 1500 {
 		t.Errorf("CacheBytes = %d exceeds the %d budget", s.Bytes, 1500)
 	}
 	// The evicted table is gone: re-running its query rebuilds.
 	runOne(t, e, specA, buildAnchor{idx: 1})
-	if got := e.HashBuilds(); got != 3 {
+	if got := e.Counters().HashBuilds; got != 3 {
 		t.Errorf("HashBuilds = %d, want 3 (eviction forced a rebuild)", got)
 	}
 }
@@ -184,10 +184,10 @@ func TestMixedGroupServesBuildFromCache(t *testing.T) {
 	// declared join pivot.
 	wantRange(t, "burst 1", runOne(t, e, spec, joinOnly{}), 0, 32)
 	wantRange(t, "burst 2", runOne(t, e, spec, joinOnly{}), 0, 32)
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want 1 (mixed group reused the cached table)", got)
 	}
-	if got := e.CacheHits(); got < 1 {
+	if got := e.Counters().Cache.Hits; got < 1 {
 		t.Errorf("CacheHits = %d, want at least 1", got)
 	}
 }
@@ -231,10 +231,10 @@ func TestResultRunServedFromCache(t *testing.T) {
 	if second.Len() != 1 || second.MustCol("n").I64[0] != 64 {
 		t.Fatalf("warm run result differs: %v rows", second.Len())
 	}
-	if got := e.CacheHits(); got != 1 {
+	if got := e.Counters().Cache.Hits; got != 1 {
 		t.Errorf("CacheHits = %d, want 1 (second run served)", got)
 	}
-	if got := e.Completed(); got != 2 {
+	if got := e.Counters().Completed; got != 2 {
 		t.Errorf("Completed = %d, want 2 (served runs count as completions)", got)
 	}
 	if s := c.Stats(); s.Entries != 1 {
@@ -245,7 +245,7 @@ func TestResultRunServedFromCache(t *testing.T) {
 	if cold.MustCol("n").I64[0] != 64 {
 		t.Fatal("never-share run wrong result")
 	}
-	if got := e.CacheHits(); got != 1 {
+	if got := e.Counters().Cache.Hits; got != 1 {
 		t.Errorf("CacheHits after never-share run = %d, want still 1", got)
 	}
 }
@@ -310,7 +310,7 @@ func TestResultRunNotServedAcrossTableRecreate(t *testing.T) {
 	if got := second.MustCol("total").F64[0]; got != 64 {
 		t.Errorf("recreated table served the retired table's result: sum = %v, want 64", got)
 	}
-	if got := e.CacheHits(); got != 0 {
+	if got := e.Counters().Cache.Hits; got != 0 {
 		t.Errorf("CacheHits = %d, want 0 (recreated table must miss)", got)
 	}
 }
@@ -347,7 +347,7 @@ func TestSweepIntervalTickerAndCacheNonInterference(t *testing.T) {
 		t.Fatalf("sweep evicted an unexpired cached artifact: %+v", s)
 	}
 	runOne(t, e, spec, buildAnchor{idx: 1})
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want 1 (cache survived the sweeps)", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/relop"
 	"repro/internal/storage"
@@ -269,61 +268,6 @@ func (c *Cluster) Close() {
 		e.Close()
 	}
 	c.sched.Stop()
-}
-
-// Scatters returns the number of plans executed scatter-gather.
-func (c *Cluster) Scatters() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.scatters
-}
-
-// Routed returns the number of plans routed whole to a single shard.
-func (c *Cluster) Routed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.routed
-}
-
-// Finished returns the number of cluster-level queries completed: each
-// scattered plan counts once (at its gather), each routed plan once.
-func (c *Cluster) Finished() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.finished
-}
-
-// HashBuilds sums executed shared hash builds across shards. With the bus
-// deduplicating builds cluster-wide, a shared family contributes one build
-// to this total however many shards probed it.
-func (c *Cluster) HashBuilds() int64 { return c.sum((*Engine).HashBuilds) }
-
-// BuildJoins sums build-share attaches across shards (local and cross-shard).
-func (c *Cluster) BuildJoins() int64 { return c.sum((*Engine).BuildJoins) }
-
-// BusJoins sums cross-shard bus attaches across shards.
-func (c *Cluster) BusJoins() int64 { return c.sum((*Engine).BusJoins) }
-
-// Completed sums per-shard completed queries (a scattered plan counts once
-// per shard here; see Finished for the cluster-level count).
-func (c *Cluster) Completed() int64 { return c.sum((*Engine).Completed) }
-
-// CompileHits sums per-shard compile-cache hits.
-func (c *Cluster) CompileHits() int64 { return c.sum((*Engine).CompileHits) }
-
-// CompileMisses sums per-shard compile-cache misses.
-func (c *Cluster) CompileMisses() int64 { return c.sum((*Engine).CompileMisses) }
-
-// CacheStats returns the keep-alive cache counters. Shards share one cache
-// instance (when the options carry one), so shard 0's view is the cluster's.
-func (c *Cluster) CacheStats() artifact.Stats { return c.shards[0].CacheStats() }
-
-func (c *Cluster) sum(get func(*Engine) int64) int64 {
-	var n int64
-	for _, e := range c.shards {
-		n += get(e)
-	}
-	return n
 }
 
 // Submit routes one ShardPlan: see SubmitFn.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -154,8 +155,8 @@ func TestClusterScatterMatchesSerial(t *testing.T) {
 					t.Errorf("%s over %d shards: repeated scatter not byte-stable", q, k)
 				}
 			}
-			if c.Scatters() != 2 || c.Finished() != 2 {
-				t.Errorf("%s over %d shards: scatters=%d finished=%d, want 2/2", q, k, c.Scatters(), c.Finished())
+			if c.Counters().Scatters != 2 || c.Counters().Finished != 2 {
+				t.Errorf("%s over %d shards: scatters=%d finished=%d, want 2/2", q, k, c.Counters().Scatters, c.Counters().Finished)
 			}
 			c.Drain()
 		}
@@ -193,11 +194,11 @@ func TestClusterRoutesWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Routed() != 2 || c.Scatters() != 0 {
-		t.Fatalf("routed=%d scatters=%d, want 2/0", c.Routed(), c.Scatters())
+	if c.Counters().Routed != 2 || c.Counters().Scatters != 0 {
+		t.Fatalf("routed=%d scatters=%d, want 2/0", c.Counters().Routed, c.Counters().Scatters)
 	}
-	if c.Shard(0).Completed() != 1 || c.Shard(1).Completed() != 1 {
-		t.Errorf("round-robin routing uneven: %d/%d", c.Shard(0).Completed(), c.Shard(1).Completed())
+	if c.Shard(0).Counters().Completed != 1 || c.Shard(1).Counters().Completed != 1 {
+		t.Errorf("round-robin routing uneven: %d/%d", c.Shard(0).Counters().Completed, c.Shard(1).Counters().Completed)
 	}
 
 	// A scatterable plan whose gather cost dwarfs the saving runs whole.
@@ -213,8 +214,8 @@ func TestClusterRoutesWhole(t *testing.T) {
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Routed() != 3 || c.Scatters() != 0 {
-		t.Fatalf("gather-dominated plan scattered: routed=%d scatters=%d", c.Routed(), c.Scatters())
+	if c.Counters().Routed != 3 || c.Counters().Scatters != 0 {
+		t.Fatalf("gather-dominated plan scattered: routed=%d scatters=%d", c.Counters().Routed, c.Counters().Scatters)
 	}
 }
 
@@ -333,7 +334,7 @@ func TestClusterIdleShardStealsWork(t *testing.T) {
 	// Whether a given round steals depends on how the two workers
 	// interleave; a shared pool steals within a few rounds, separate
 	// one-worker pools never do.
-	for round := 0; round < 20 && sh.Steals() == 0; round++ {
+	for round := 0; round < 20 && sh.Counters().Steals == 0; round++ {
 		var hs []*engine.Handle
 		for rep := 0; rep < 2; rep++ {
 			for _, spec := range specs {
@@ -355,10 +356,96 @@ func TestClusterIdleShardStealsWork(t *testing.T) {
 			}
 		}
 	}
-	if sh.Steals() == 0 {
+	if sh.Counters().Steals == 0 {
 		t.Fatal("shard 0's worker never took shard 1's work: the shards do not share a pool")
 	}
-	if c.Shard(0).Completed() != 0 {
-		t.Errorf("shard 0 completed %d queries, want 0: work was submitted to shard 1 only", c.Shard(0).Completed())
+	if c.Shard(0).Counters().Completed != 0 {
+		t.Errorf("shard 0 completed %d queries, want 0: work was submitted to shard 1 only", c.Shard(0).Counters().Completed)
+	}
+}
+
+// Cluster.Counters sums the shards' snapshots, reads the pool's steals and
+// the one shared cache once rather than per shard, and adds the routing
+// counters; the PivotJoins maps it returns are copies.
+func TestClusterCounters(t *testing.T) {
+	db := testDB(t)
+	sdb, err := tpch.NewShardedDB(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := tpch.CompileShardPlans(sdb, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, _, err := policy.ByName("subplan", core.NewEnv(2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := artifact.New(artifact.Config{BudgetBytes: 64 << 20, TTL: time.Minute})
+	c := newCluster(t, 2, engine.Options{Workers: 1, FanOut: engine.FanOutShare, Cache: cache, StartPaused: true})
+	// Two copies of every plan submitted while paused, so groups form.
+	var hs []*engine.Handle
+	for _, f := range tpch.ShardFamilies() {
+		for v := 0; v < f.Variants; v++ {
+			for rep := 0; rep < 2; rep++ {
+				h, err := c.Submit(plans[fmt.Sprintf("%s/%d", f.Name, v)], policy.ForEngine(pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			}
+		}
+	}
+	c.Start()
+	for _, h := range hs {
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Drain()
+
+	n := c.Counters()
+	if len(n.Shards) != 2 {
+		t.Fatalf("%d shard rows, want 2", len(n.Shards))
+	}
+	var sum engine.Counters
+	pivot := map[int]int64{}
+	for i, r := range n.Shards {
+		sum.Completed += r.Completed
+		sum.Active += r.Active
+		sum.InflightAttaches += r.InflightAttaches
+		sum.ParallelRuns += r.ParallelRuns
+		sum.ParallelClones += r.ParallelClones
+		sum.HashBuilds += r.HashBuilds
+		sum.BuildJoins += r.BuildJoins
+		sum.BusJoins += r.BusJoins
+		sum.CompileHits += r.CompileHits
+		sum.CompileMisses += r.CompileMisses
+		for lvl, k := range r.PivotJoins {
+			pivot[lvl] += k
+		}
+		if r.Steals != n.Steals || r.Cache != n.Cache {
+			t.Errorf("shard %d reads steals %d and cache %+v, the cluster %d and %+v: not one pool and one cache",
+				i, r.Steals, r.Cache, n.Steals, n.Cache)
+		}
+	}
+	sum.PivotJoins, sum.Cache, sum.Steals, sum.Parks = pivot, n.Cache, n.Steals, n.Parks
+	if fmt.Sprint(sum) != fmt.Sprint(n.Counters) {
+		t.Errorf("shard rows sum to\n%+v\ncluster total is\n%+v", sum, n.Counters)
+	}
+	if n.Completed == 0 || n.BusJoins == 0 || n.Cache.Bytes == 0 || len(n.PivotJoins) == 0 {
+		t.Errorf("the run left counters at zero: %+v", n.Counters)
+	}
+	if got := n.Scatters + n.Routed; got != int64(len(hs)) || n.Finished != int64(len(hs)) {
+		t.Errorf("scatters %d + routed %d, finished %d; want %d each", n.Scatters, n.Routed, n.Finished, len(hs))
+	}
+
+	for lvl := range n.PivotJoins {
+		n.PivotJoins[lvl] += 100
+		n.Shards[0].PivotJoins[lvl] += 100
+	}
+	if fmt.Sprint(c.Counters().PivotJoins) == fmt.Sprint(n.PivotJoins) ||
+		fmt.Sprint(c.Shard(0).Counters().PivotJoins) == fmt.Sprint(n.Shards[0].PivotJoins) {
+		t.Error("writing a snapshot's PivotJoins reached the engine's counters")
 	}
 }

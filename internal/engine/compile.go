@@ -351,7 +351,7 @@ func (e *Engine) compileForHit(spec QuerySpec) (*Compiled, bool) {
 	if spec.PlanKey != "" {
 		e.mu.Lock()
 		if c := e.memoizedLocked(spec); c != nil {
-			e.compileHits++
+			e.n.CompileHits++
 			e.mu.Unlock()
 			return c, true
 		}
@@ -359,7 +359,7 @@ func (e *Engine) compileForHit(spec QuerySpec) (*Compiled, bool) {
 	}
 	c := compileWith(spec, e.tableIdentity)
 	e.mu.Lock()
-	e.compileMisses++
+	e.n.CompileMisses++
 	if spec.PlanKey != "" {
 		if len(e.compiled) >= maxCompiled {
 			e.compiled = make(map[string]*Compiled)
@@ -397,21 +397,4 @@ func (e *Engine) memoizedLocked(spec QuerySpec) *Compiled {
 		return c
 	}
 	return nil
-}
-
-// CompileHits returns the number of submissions served by a memoized compile
-// artifact — each one a submit that skipped canonicalization entirely.
-func (e *Engine) CompileHits() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.compileHits
-}
-
-// CompileMisses returns the number of submissions that compiled fresh: no
-// PlanKey, first sight of a family, a table epoch bump, or a structural
-// mismatch under a reused PlanKey.
-func (e *Engine) CompileMisses() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.compileMisses
 }

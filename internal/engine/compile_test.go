@@ -29,7 +29,7 @@ func TestCompileCacheHitsOnRepeatedFamily(t *testing.T) {
 		spec.PlanKey = "cc/a"
 		runOne(t, e, spec, nil)
 	}
-	if h, m := e.CompileHits(), e.CompileMisses(); h != 3 || m != 1 {
+	if h, m := e.Counters().CompileHits, e.Counters().CompileMisses; h != 3 || m != 1 {
 		t.Errorf("compile hits/misses = %d/%d, want 3/1", h, m)
 	}
 	spec := sumSpec(tbl, "cc/a", "sum-v")
@@ -48,7 +48,7 @@ func TestCompileCacheSkippedWithoutPlanKey(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		runOne(t, e, sumSpec(tbl, "cc/b", ""), nil)
 	}
-	if h, m := e.CompileHits(), e.CompileMisses(); h != 0 || m != 3 {
+	if h, m := e.Counters().CompileHits, e.Counters().CompileMisses; h != 0 || m != 3 {
 		t.Errorf("compile hits/misses = %d/%d, want 0/3", h, m)
 	}
 	e.mu.Lock()
@@ -74,7 +74,7 @@ func TestCompileCacheEpochInvalidation(t *testing.T) {
 	staleKey := ShareKey(mk())
 	tbl.BumpEpoch()
 	runOne(t, e, mk(), nil)
-	if h, m := e.CompileHits(), e.CompileMisses(); h != 0 || m != 2 {
+	if h, m := e.Counters().CompileHits, e.Counters().CompileMisses; h != 0 || m != 2 {
 		t.Errorf("compile hits/misses = %d/%d, want 0/2 (epoch bump forces recompile)", h, m)
 	}
 	cp := e.compileFor(mk())
@@ -102,7 +102,7 @@ func TestCompileCachePlanKeyMisuseRecompiles(t *testing.T) {
 	if got, want := cp.shareKeyAt(0), ShareKey(b); got != want {
 		t.Errorf("misused PlanKey served the other plan's key %q, want %q", got, want)
 	}
-	if h, m := e.CompileHits(), e.CompileMisses(); h != 0 || m != 2 {
+	if h, m := e.Counters().CompileHits, e.Counters().CompileMisses; h != 0 || m != 2 {
 		t.Errorf("compile hits/misses = %d/%d, want 0/2", h, m)
 	}
 }
@@ -129,7 +129,7 @@ func TestCompileCacheGuardsScanPredAndCols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := e.CompileHits(); h != 0 {
+	if h := e.Counters().CompileHits; h != 0 {
 		t.Errorf("CompileHits = %d, want 0 (predicate change under one PlanKey must recompile)", h)
 	}
 	e.Start()
@@ -152,7 +152,7 @@ func TestCompileCacheGuardsScanPredAndCols(t *testing.T) {
 
 	// An equal-valued (but freshly constructed) predicate still hits warm.
 	cp := e.compileFor(mk(20))
-	if h := e.CompileHits(); h != 1 {
+	if h := e.Counters().CompileHits; h != 1 {
 		t.Errorf("CompileHits after equal-pred resubmit = %d, want 1", h)
 	}
 	if got, want := cp.shareKeyAt(0), ShareKey(mk(20)); got != want {
@@ -166,7 +166,7 @@ func TestCompileCacheGuardsScanPredAndCols(t *testing.T) {
 	if got, want := cp.shareKeyAt(0), ShareKey(wider); got != want {
 		t.Errorf("projection change served the other plan's key %q, want %q", got, want)
 	}
-	if h := e.CompileHits(); h != 1 {
+	if h := e.Counters().CompileHits; h != 1 {
 		t.Errorf("CompileHits after projection change = %d, want still 1", h)
 	}
 }
@@ -189,7 +189,7 @@ func TestWarmHitServesRefreshedModels(t *testing.T) {
 	e.compileFor(mk(1))
 	refreshed := mk(42)
 	cp := e.compileFor(refreshed)
-	if h, m := e.CompileHits(), e.CompileMisses(); h != 1 || m != 1 {
+	if h, m := e.Counters().CompileHits, e.Counters().CompileMisses; h != 1 || m != 1 {
 		t.Fatalf("compile hits/misses = %d/%d, want 1/1 (a model refresh must not recompile)", h, m)
 	}
 	for j := range cp.opts {

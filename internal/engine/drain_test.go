@@ -79,8 +79,8 @@ func TestDrainFinishesInflightAndRejectsNew(t *testing.T) {
 			t.Fatalf("query %d: unexpected drained result %v", i, res)
 		}
 	}
-	if e.Active() != 0 {
-		t.Fatalf("Active() = %d after drain, want 0", e.Active())
+	if e.Counters().Active != 0 {
+		t.Fatalf("Active() = %d after drain, want 0", e.Counters().Active)
 	}
 }
 

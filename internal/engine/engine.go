@@ -310,7 +310,7 @@ type Engine struct {
 	ownsSched bool
 	opts      Options
 	clock     *busyClock
-	scans     *storage.ScanRegistry
+	scans     *storage.Exchange
 	// cache is the keep-alive shared-artifact cache (nil = retention off).
 	cache     *artifact.Cache
 	closeOnce sync.Once
@@ -333,10 +333,8 @@ type Engine struct {
 	drained  chan struct{}
 	joinable map[string]*shareGroup // keyed by subplan share key
 	// compiled memoizes submit-path compile artifacts per QuerySpec.PlanKey
-	// (see compile.go); compileHits/compileMisses count reuse.
-	compiled      map[string]*Compiled
-	compileHits   int64
-	compileMisses int64
+	// (see compile.go); n.CompileHits/n.CompileMisses count reuse.
+	compiled map[string]*Compiled
 	// tableIdent binds each scanned table name to the first *storage.Table
 	// instance this engine saw under it (guarded by identMu, not e.mu —
 	// compiles run without the engine lock). Share keys canonicalize scans
@@ -344,17 +342,11 @@ type Engine struct {
 	// distinct instance (drop-and-recreate, a second catalog) is qualified
 	// by its process-unique ID so its groups and cached artifacts can never
 	// cross with the first instance's (see tableIdentity).
-	identMu          sync.Mutex
-	tableIdent       map[string]*storage.Table
-	active           int
-	completed        int64
-	inflightAttaches int64
-	parallelRuns     int64
-	parallelClones   int64
-	hashBuilds       int64
-	buildJoins       int64
-	busJoins         int64
-	pivotJoins       map[int]int64 // pivot level -> members merged there
+	identMu    sync.Mutex
+	tableIdent map[string]*storage.Table
+	// n holds the counters the engine owns (see Counters); its Cache,
+	// Steals and Parks stay zero, filled in by the snapshot.
+	n Counters
 	// calibNS is the EWMA of wall-nanoseconds per unit of modeled work u′,
 	// learned from queries that ran effectively alone; the audit uses it to
 	// turn the model's alone estimate into an expected wall time.
@@ -397,7 +389,7 @@ func newEngine(opts Options, sched *Scheduler) *Engine {
 		joinable:   make(map[string]*shareGroup),
 		compiled:   make(map[string]*Compiled),
 		tableIdent: make(map[string]*storage.Table),
-		pivotJoins: make(map[int]int64),
+		n:          Counters{PivotJoins: make(map[int]int64)},
 	}
 	if opts.SweepInterval > 0 {
 		e.StartSweep(opts.SweepInterval, opts.SweepAge)
@@ -467,7 +459,7 @@ func (e *Engine) Drain() {
 	e.mu.Lock()
 	if e.drained == nil {
 		e.drained = make(chan struct{})
-		if e.active == 0 {
+		if e.n.Active == 0 {
 			close(e.drained)
 		}
 	}
@@ -487,98 +479,8 @@ func (e *Engine) Draining() bool {
 // cluster shard is the shard's share of the pool.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Completed returns the number of queries finished since startup.
-func (e *Engine) Completed() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.completed
-}
-
 // BusyTimes returns per-node accumulated busy time (Profile mode only).
 func (e *Engine) BusyTimes() map[string]time.Duration { return e.clock.snapshot() }
-
-// Steals returns the number of tasks the scheduler's workers have taken from
-// peers' run queues since startup — nonzero steals under load show the
-// work-stealing balancer is moving work off hot queues. A cluster shard
-// reports its pool's count, which every shard shares.
-func (e *Engine) Steals() int64 { return e.sched.Steals() }
-
-// InflightAttaches returns the number of queries that joined a sharing
-// group after its scan had started (in-flight attaches).
-func (e *Engine) InflightAttaches() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inflightAttaches
-}
-
-// ParallelRuns returns the number of queries executed as partitioned
-// clones since startup.
-func (e *Engine) ParallelRuns() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parallelRuns
-}
-
-// ParallelClones returns the total clone pipelines spawned for parallel
-// runs since startup (Σ degree over ParallelRuns).
-func (e *Engine) ParallelClones() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parallelClones
-}
-
-// HashBuilds returns the number of shared hash-join builds executed (sealed)
-// since startup — one per build-sharing group however many members probed
-// the table. Joins executed through the opaque single-query path are not
-// counted.
-func (e *Engine) HashBuilds() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hashBuilds
-}
-
-// BuildJoins returns the number of queries that attached to an existing
-// shared hash build (the group's anchor is not counted — it shares with no
-// one until someone joins).
-func (e *Engine) BuildJoins() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.buildJoins
-}
-
-// BusJoins returns the number of queries that attached through the shared
-// bus to a build state published by another engine — the cross-shard subset
-// of BuildJoins. Always zero without Options.Bus.
-func (e *Engine) BusJoins() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.busJoins
-}
-
-// CacheStats returns the keep-alive cache's counters and footprint (zero
-// when the engine runs without a cache).
-func (e *Engine) CacheStats() artifact.Stats {
-	if e.cache == nil {
-		return artifact.Stats{}
-	}
-	return e.cache.Stats()
-}
-
-// CacheHits returns the number of lookups served from a retained artifact —
-// each one a late attach (or a whole result) that cost zero rebuild work.
-func (e *Engine) CacheHits() int64 { return e.CacheStats().Hits }
-
-// CacheMisses returns the number of cache lookups that found nothing usable
-// (absent, expired, or stale).
-func (e *Engine) CacheMisses() int64 { return e.CacheStats().Misses }
-
-// CacheEvictions returns the number of retained artifacts dropped for
-// memory pressure.
-func (e *Engine) CacheEvictions() int64 { return e.CacheStats().Evictions }
-
-// CacheBytes returns the cache's current retained footprint. It never
-// exceeds the cache's byte budget.
-func (e *Engine) CacheBytes() int64 { return e.CacheStats().Bytes }
 
 // SweepExchange force-retires work-exchange entries no consumer will ever
 // reclaim — superseded orphans and wedged or unreferenced build states older
@@ -603,33 +505,9 @@ func (e *Engine) SweepExchange(maxAge time.Duration) int {
 	return n
 }
 
-// Active returns the number of submitted queries not yet completed.
-func (e *Engine) Active() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.active
-}
-
-// ScanRegistry exposes the engine's work-exchange registry — circular
-// scans, partitioned scans, and shared subplan outlets — for monitoring.
-func (e *Engine) ScanRegistry() *storage.Exchange { return e.scans }
-
-// Exchange is ScanRegistry under the registry's unified name.
+// Exchange exposes the engine's work exchange — circular scans,
+// partitioned scans, and shared subplan outlets — for monitoring.
 func (e *Engine) Exchange() *storage.Exchange { return e.scans }
-
-// PivotLevelJoins returns, per pivot node level, how many queries merged
-// into a sharing group anchored at that level (submission-time joins plus
-// in-flight attaches; group anchors are not counted — they share with no
-// one until someone joins).
-func (e *Engine) PivotLevelJoins() map[int]int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[int]int64, len(e.pivotJoins))
-	for k, v := range e.pivotJoins {
-		out[k] = v
-	}
-	return out
-}
 
 // Submit enqueues a query for execution. If policy is non-nil the engine
 // tries to share: join an existing compatible group when the policy agrees,
@@ -734,10 +612,10 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 								ng.trace = h.trace
 								emitDecision(h, "attach", "bus build state")
 								e.joinable[ng.key] = ng
-								e.buildJoins++
-								e.busJoins++
-								e.pivotJoins[opt.Pivot]++
-								e.active++
+								e.n.BuildJoins++
+								e.n.BusJoins++
+								e.n.PivotJoins[opt.Pivot]++
+								e.n.Active++
 								return h, nil
 							}
 							// The state retired between the lookup and the
@@ -765,9 +643,9 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 							ng.trace = h.trace
 							emitDecision(h, "anchor", "cache-served build")
 							e.joinable[ng.key] = ng
-							e.buildJoins++
-							e.pivotJoins[opt.Pivot]++
-							e.active++
+							e.n.BuildJoins++
+							e.n.PivotJoins[opt.Pivot]++
+							e.n.Active++
 							return h, nil
 						}
 					}
@@ -788,9 +666,9 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 					}
 					if attached {
 						emitDecision(h, "attach", "shared hash build")
-						e.buildJoins++
-						e.pivotJoins[opt.Pivot]++
-						e.active++
+						e.n.BuildJoins++
+						e.n.PivotJoins[opt.Pivot]++
+						e.n.Active++
 						return h, nil
 					}
 					// The table retired between the lookup and the attach;
@@ -819,7 +697,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 					remaining, active, live := g.inflight.scan.Remaining()
 					admit := func() bool {
 						if lap, ok := policy.(LoadAwarePolicy); ok {
-							return lap.ShouldAttachUnderLoad(mspec.Model, active+1, remaining, e.active+1, spec.CanParallel())
+							return lap.ShouldAttachUnderLoad(mspec.Model, active+1, remaining, e.n.Active+1, spec.CanParallel())
 						}
 						return ap.ShouldAttach(mspec.Model, active+1, remaining)
 					}
@@ -832,9 +710,9 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 						}
 						if attached {
 							emitDecision(h, "attach", fmt.Sprintf("inflight scan remaining=%.2f", remaining))
-							e.inflightAttaches++
-							e.pivotJoins[opt.Pivot]++
-							e.active++
+							e.n.InflightAttaches++
+							e.n.PivotJoins[opt.Pivot]++
+							e.n.Active++
 							return h, nil
 						}
 						// The scan finished between the consult and the
@@ -853,8 +731,8 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 						return nil, err
 					}
 					emitDecision(h, "attach", "pivot group")
-					e.pivotJoins[opt.Pivot]++
-					e.active++
+					e.n.PivotJoins[opt.Pivot]++
+					e.n.Active++
 					return h, nil
 				}
 			}
@@ -872,9 +750,9 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 			return nil, err
 		}
 		emitDecision(h, "anchor", fmt.Sprintf("partitioned clones d=%d", d))
-		e.parallelRuns++
-		e.parallelClones += int64(d)
-		e.active++
+		e.n.ParallelRuns++
+		e.n.ParallelClones += int64(d)
+		e.n.Active++
 		return h, nil
 	}
 	// Fresh group. When the spec offers several pivot levels, a
@@ -890,7 +768,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 			for i := range opts {
 				cands[i] = cp.optModel(spec, i)
 			}
-			if i := pp.ChoosePivot(cands, e.active+1); i >= 0 && i < len(opts) {
+			if i := pp.ChoosePivot(cands, e.n.Active+1); i >= 0 && i < len(opts) {
 				if opts[i].Build {
 					anchorBuild = opts[i]
 					anchorBuild.Model = cands[i]
@@ -913,7 +791,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 		g.trace = h.trace
 		emitDecision(h, "anchor", "build group")
 		e.joinable[g.key] = g
-		e.active++
+		e.n.Active++
 		return h, nil
 	}
 	if policy != nil {
@@ -937,7 +815,7 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 	} else {
 		emitDecision(h, "anchor", "unshared run")
 	}
-	e.active++
+	e.n.Active++
 	return h, nil
 }
 
@@ -952,7 +830,7 @@ func (e *Engine) admitSharedLocked(policy SharePolicy, model core.Query, m int, 
 		return false
 	}
 	if lap, ok := policy.(LoadAwarePolicy); ok {
-		return lap.ShouldJoinUnderLoad(model, m, e.active+1, canParallel)
+		return lap.ShouldJoinUnderLoad(model, m, e.n.Active+1, canParallel)
 	}
 	return policy.ShouldJoin(model, m)
 }
@@ -967,7 +845,7 @@ func (e *Engine) parallelDegreeLocked(spec QuerySpec, policy SharePolicy) int {
 	d := spec.Parallel
 	if d == 0 {
 		if pp, ok := policy.(ParallelPolicy); ok {
-			d = pp.Degree(spec.Model, e.active+1)
+			d = pp.Degree(spec.Model, e.n.Active+1)
 		}
 	}
 	if d > e.opts.Workers {
@@ -1040,8 +918,8 @@ func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, c
 			if hit {
 				bs.sealCached(tbl)
 				cachedBuild = spec.SubtreeMask(opt.Pivot)
-				e.buildJoins++
-				e.pivotJoins[opt.Pivot]++
+				e.n.BuildJoins++
+				e.n.PivotJoins[opt.Pivot]++
 			}
 			// A member failure poisons the whole group (its error reaches
 			// every sink), so stop recruiting into it on either key: retire
@@ -1179,7 +1057,7 @@ func (e *Engine) newBuildShareLocked(g *shareGroup, key string, opt PivotOption,
 	bs := &buildShare{key: key, pivot: opt.Pivot, state: e.scans.PublishBuildState(key), recycle: e.cache == nil}
 	bs.onSeal = func() {
 		e.mu.Lock()
-		e.hashBuilds++
+		e.n.HashBuilds++
 		e.mu.Unlock()
 	}
 	if e.cache != nil {
@@ -1500,9 +1378,9 @@ func (e *Engine) newSinkTask(g *shareGroup, h *Handle, in *PageQueue, schema sto
 		g.mu.Unlock()
 		e.observeCompletion(h, err, finalSize, wall)
 		e.mu.Lock()
-		e.completed++
-		e.active--
-		if e.active == 0 && e.drained != nil {
+		e.n.Completed++
+		e.n.Active--
+		if e.n.Active == 0 && e.drained != nil {
 			close(e.drained)
 		}
 		e.mu.Unlock()

@@ -284,7 +284,7 @@ func TestEngineGroupLifecycle(t *testing.T) {
 		}
 		assertSameResult(t, fmt.Sprintf("lifecycle %d", i), got, want)
 	}
-	if c := e.Completed(); c != 3 {
+	if c := e.Counters().Completed; c != 3 {
 		t.Errorf("Completed = %d, want 3", c)
 	}
 }
@@ -337,7 +337,7 @@ func TestEnginePolicyRefusal(t *testing.T) {
 	if _, err := h2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if c := e.Completed(); c != 2 {
+	if c := e.Counters().Completed; c != 2 {
 		t.Errorf("Completed = %d", c)
 	}
 }
@@ -475,8 +475,8 @@ func TestEngineClosedLoop(t *testing.T) {
 					t.Errorf("%s: %d completions, want %d", q, got, want)
 				}
 			}
-			if tc.name == "subplan" && e.PivotLevelJoins()[1] == 0 {
-				t.Errorf("no joins at the aggregate level: %v", e.PivotLevelJoins())
+			if tc.name == "subplan" && e.Counters().PivotJoins[1] == 0 {
+				t.Errorf("no joins at the aggregate level: %v", e.Counters().PivotJoins)
 			}
 		})
 	}

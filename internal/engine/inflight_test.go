@@ -88,7 +88,7 @@ func TestInflightAttachBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.InflightAttaches(); got != 1 {
+	if got := e.Counters().InflightAttaches; got != 1 {
 		t.Errorf("InflightAttaches before start = %d, want 1", got)
 	}
 	e.Start()
@@ -99,8 +99,8 @@ func TestInflightAttachBeforeStart(t *testing.T) {
 		}
 		sumResult(t, res, rows)
 	}
-	if e.ScanRegistry().InFlight() != 0 {
-		t.Errorf("registry still tracks %d scans after completion", e.ScanRegistry().InFlight())
+	if e.Exchange().InFlight() != 0 {
+		t.Errorf("registry still tracks %d scans after completion", e.Exchange().InFlight())
 	}
 }
 
@@ -152,7 +152,7 @@ func TestInflightLateJoinerWrapAround(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The scan registers in the work exchange under the group's share key.
-	cs := e.ScanRegistry().Lookup(ShareKey(gated))
+	cs := e.Exchange().Lookup(ShareKey(gated))
 	if cs == nil {
 		t.Fatal("scan not published in the registry")
 	}
@@ -174,7 +174,7 @@ func TestInflightLateJoinerWrapAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.InflightAttaches(); got != 1 {
+	if got := e.Counters().InflightAttaches; got != 1 {
 		t.Fatalf("InflightAttaches = %d, want 1 (scan had %d of %d rows left)",
 			got, rows-func() int { p, _ := cs.Progress(); return p }(), rows)
 	}
@@ -207,7 +207,7 @@ func TestInflightRefusedRunsIndependently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.InflightAttaches(); got != 0 {
+	if got := e.Counters().InflightAttaches; got != 0 {
 		t.Errorf("InflightAttaches = %d, want 0", got)
 	}
 	e.Start()
@@ -240,7 +240,7 @@ func TestInflightRequiresAttachPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.InflightAttaches(); got != 0 {
+	if got := e.Counters().InflightAttaches; got != 0 {
 		t.Errorf("InflightAttaches = %d, want 0 for a join-only policy", got)
 	}
 	e.Start()
@@ -273,7 +273,7 @@ func TestInflightDisabledUsesSubmitTimeGroups(t *testing.T) {
 	if g == nil || g.inflight != nil {
 		t.Fatal("inflight machinery built despite InflightSharing=false")
 	}
-	if e.ScanRegistry().InFlight() != 0 {
+	if e.Exchange().InFlight() != 0 {
 		t.Error("scan published despite InflightSharing=false")
 	}
 }
@@ -340,7 +340,7 @@ func TestInflightMemberFailureAbortsGroup(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for e.ScanRegistry().InFlight() != 0 {
+	for e.Exchange().InFlight() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("aborted scan never left the registry")
 		}

@@ -6,18 +6,6 @@ import (
 	"repro/internal/obs"
 )
 
-// RegisterMetrics registers the engine's counters and gauges — engine core,
-// scheduler, page queues, work exchange, compile cache, keep-alive cache,
-// and the model-accuracy audit — into the given registry, all as closures
-// over state the engine already maintains: scraping samples, the hot paths
-// pay nothing. labels (e.g. a shard id) are attached to every series so
-// multiple engines can share one registry. A cluster registers its shards
-// through Cluster.RegisterMetrics instead, which counts their one pool once.
-func (e *Engine) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
-	e.registerMetrics(r, labels)
-	registerSchedMetrics(r, e.sched, labels)
-}
-
 // registerSchedMetrics registers a worker pool's scheduler and page-queue
 // series.
 func registerSchedMetrics(r *obs.Registry, s *Scheduler, labels obs.Labels) {
@@ -29,7 +17,12 @@ func registerSchedMetrics(r *obs.Registry, s *Scheduler, labels obs.Labels) {
 }
 
 // registerMetrics registers the engine's own series, everything but its
-// worker pool's.
+// worker pool's: engine core, compile cache, work exchange, keep-alive
+// cache, tracer, and the model-accuracy audit, all as closures over state
+// the engine already maintains, so scraping samples and the hot paths pay
+// nothing. Each engine-counter series reads its value from a Counters
+// snapshot. labels (a shard id) are attached to every series so several
+// engines can share one registry.
 func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	cf := func(name, help string, fn func() int64) {
 		r.CounterFunc(name, help, labels, func() float64 { return float64(fn()) })
@@ -39,25 +32,25 @@ func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	}
 
 	// Engine core.
-	cf("cordoba_engine_completed_total", "Queries finished since startup.", e.Completed)
-	gf("cordoba_engine_active", "Submitted queries not yet completed.", func() float64 { return float64(e.Active()) })
-	cf("cordoba_engine_inflight_attaches_total", "Queries that joined a sharing group after its scan started.", e.InflightAttaches)
-	cf("cordoba_engine_parallel_runs_total", "Queries executed as partitioned clones.", e.ParallelRuns)
-	cf("cordoba_engine_parallel_clones_total", "Clone pipelines spawned for parallel runs.", e.ParallelClones)
-	cf("cordoba_engine_hash_builds_total", "Shared hash-join builds executed (sealed).", e.HashBuilds)
-	cf("cordoba_engine_build_joins_total", "Queries attached to an existing shared hash build.", e.BuildJoins)
-	cf("cordoba_engine_bus_joins_total", "Cross-shard build attaches through the artifact bus.", e.BusJoins)
+	cf("cordoba_engine_completed_total", "Queries finished since startup.", func() int64 { return e.Counters().Completed })
+	gf("cordoba_engine_active", "Submitted queries not yet completed.", func() float64 { return float64(e.Counters().Active) })
+	cf("cordoba_engine_inflight_attaches_total", "Queries that joined a sharing group after its scan started.", func() int64 { return e.Counters().InflightAttaches })
+	cf("cordoba_engine_parallel_runs_total", "Queries executed as partitioned clones.", func() int64 { return e.Counters().ParallelRuns })
+	cf("cordoba_engine_parallel_clones_total", "Clone pipelines spawned for parallel runs.", func() int64 { return e.Counters().ParallelClones })
+	cf("cordoba_engine_hash_builds_total", "Shared hash-join builds executed (sealed).", func() int64 { return e.Counters().HashBuilds })
+	cf("cordoba_engine_build_joins_total", "Queries attached to an existing shared hash build.", func() int64 { return e.Counters().BuildJoins })
+	cf("cordoba_engine_bus_joins_total", "Cross-shard build attaches through the artifact bus.", func() int64 { return e.Counters().BusJoins })
 	cf("cordoba_engine_pivot_joins_total", "Queries merged into sharing groups at any pivot level.", func() int64 {
 		var n int64
-		for _, v := range e.PivotLevelJoins() {
+		for _, v := range e.Counters().PivotJoins {
 			n += v
 		}
 		return n
 	})
 
 	// Submit-path compile cache.
-	cf("cordoba_compile_hits_total", "Submissions served by a memoized compile artifact.", e.CompileHits)
-	cf("cordoba_compile_misses_total", "Submissions that compiled fresh.", e.CompileMisses)
+	cf("cordoba_compile_hits_total", "Submissions served by a memoized compile artifact.", func() int64 { return e.Counters().CompileHits })
+	cf("cordoba_compile_misses_total", "Submissions that compiled fresh.", func() int64 { return e.Counters().CompileMisses })
 
 	// Work exchange (queue-depth style gauges over the shared-artifact
 	// registry).
@@ -69,12 +62,12 @@ func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	cf("cordoba_exchange_sweep_reclaims_total", "Entries force-retired by the sweep.", e.scans.SweepReclaims)
 
 	// Keep-alive artifact cache.
-	cf("cordoba_cache_hits_total", "Lookups served from a retained artifact.", func() int64 { return e.CacheStats().Hits })
-	cf("cordoba_cache_misses_total", "Lookups that found nothing usable.", func() int64 { return e.CacheStats().Misses })
-	cf("cordoba_cache_evictions_total", "Retained artifacts dropped for memory pressure.", func() int64 { return e.CacheStats().Evictions })
-	cf("cordoba_cache_expirations_total", "Retained artifacts aged out by the TTL.", func() int64 { return e.CacheStats().Expirations })
-	gf("cordoba_cache_bytes", "Current retained footprint.", func() float64 { return float64(e.CacheStats().Bytes) })
-	gf("cordoba_cache_entries", "Currently retained artifacts.", func() float64 { return float64(e.CacheStats().Entries) })
+	cf("cordoba_cache_hits_total", "Lookups served from a retained artifact.", func() int64 { return e.Counters().Cache.Hits })
+	cf("cordoba_cache_misses_total", "Lookups that found nothing usable.", func() int64 { return e.Counters().Cache.Misses })
+	cf("cordoba_cache_evictions_total", "Retained artifacts dropped for memory pressure.", func() int64 { return e.Counters().Cache.Evictions })
+	cf("cordoba_cache_expirations_total", "Retained artifacts aged out by the TTL.", func() int64 { return e.Counters().Cache.Expirations })
+	gf("cordoba_cache_bytes", "Current retained footprint.", func() float64 { return float64(e.Counters().Cache.Bytes) })
+	gf("cordoba_cache_entries", "Currently retained artifacts.", func() float64 { return float64(e.Counters().Cache.Entries) })
 
 	// Lifecycle tracer occupancy.
 	gf("cordoba_trace_retained", "Query traces currently retained in the ring.", func() float64 { return float64(e.tracer.Len()) })
@@ -100,7 +93,7 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 		e.registerMetrics(r, l)
 	}
 	registerSchedMetrics(r, c.sched, labels)
-	r.CounterFunc("cordoba_cluster_scatters_total", "Plans executed scatter-gather.", labels, func() float64 { return float64(c.Scatters()) })
-	r.CounterFunc("cordoba_cluster_routed_total", "Plans routed whole to a single shard.", labels, func() float64 { return float64(c.Routed()) })
-	r.CounterFunc("cordoba_cluster_finished_total", "Cluster-level queries completed (scattered plans count once, at their gather).", labels, func() float64 { return float64(c.Finished()) })
+	r.CounterFunc("cordoba_cluster_scatters_total", "Plans executed scatter-gather.", labels, func() float64 { return float64(c.Counters().Scatters) })
+	r.CounterFunc("cordoba_cluster_routed_total", "Plans routed whole to a single shard.", labels, func() float64 { return float64(c.Counters().Routed) })
+	r.CounterFunc("cordoba_cluster_finished_total", "Cluster-level queries completed (scattered plans count once, at their gather).", labels, func() float64 { return float64(c.Counters().Finished) })
 }

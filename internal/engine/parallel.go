@@ -11,7 +11,7 @@ import (
 // This file implements intra-query parallelism, the alternative the paper's
 // title weighs sharing against: instead of merging m queries into one
 // serial shared pipeline, a single query runs as d partitioned clone
-// pipelines. A morsel dispenser (registered in the same ScanRegistry as the
+// pipelines. A morsel dispenser (registered in the same Exchange as the
 // in-flight circular scans, so both kinds of scan coexist) hands each clone
 // disjoint spans of the base table; every clone runs the plan's
 // row-local operators plus the root's Partial form over its share; all

@@ -83,9 +83,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if wantClones <= 1 {
 					wantRuns, wantClones = 0, 0
 				}
-				if e.ParallelRuns() != wantRuns || e.ParallelClones() != wantClones {
+				if e.Counters().ParallelRuns != wantRuns || e.Counters().ParallelClones != wantClones {
 					t.Fatalf("%s workers=%d degree=%d: runs=%d clones=%d, want %d/%d",
-						q, workers, degree, e.ParallelRuns(), e.ParallelClones(), wantRuns, wantClones)
+						q, workers, degree, e.Counters().ParallelRuns, e.Counters().ParallelClones, wantRuns, wantClones)
 				}
 			}
 		}
@@ -126,10 +126,10 @@ func TestParallelConcurrentSameSignature(t *testing.T) {
 		}
 		assertApproxResult(t, fmt.Sprintf("concurrent run %d", i), got, want)
 	}
-	if got := e.ScanRegistry().PartitionedInFlight(); got != 0 {
+	if got := e.Exchange().PartitionedInFlight(); got != 0 {
 		t.Fatalf("partitioned groups still registered: %d", got)
 	}
-	if got := e.Active(); got != 0 {
+	if got := e.Counters().Active; got != 0 {
 		t.Fatalf("active queries after drain: %d", got)
 	}
 }
@@ -154,8 +154,8 @@ func TestParallelPolicyDrivesDegree(t *testing.T) {
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if e.ParallelRuns() != 1 || e.ParallelClones() != 3 {
-		t.Fatalf("runs=%d clones=%d, want 1/3", e.ParallelRuns(), e.ParallelClones())
+	if e.Counters().ParallelRuns != 1 || e.Counters().ParallelClones != 3 {
+		t.Fatalf("runs=%d clones=%d, want 1/3", e.Counters().ParallelRuns, e.Counters().ParallelClones)
 	}
 
 	// Q4's pivot is a join — not a linear scan chain — so the policy's
@@ -167,8 +167,8 @@ func TestParallelPolicyDrivesDegree(t *testing.T) {
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if e.ParallelRuns() != 1 {
-		t.Fatalf("non-parallelizable plan counted as parallel run: %d", e.ParallelRuns())
+	if e.Counters().ParallelRuns != 1 {
+		t.Fatalf("non-parallelizable plan counted as parallel run: %d", e.Counters().ParallelRuns)
 	}
 }
 
@@ -290,10 +290,10 @@ func TestParallelFailurePropagates(t *testing.T) {
 	if _, err := h.Wait(); err == nil {
 		t.Fatal("clone failure did not poison the result")
 	}
-	if got := e.ScanRegistry().PartitionedInFlight(); got != 0 {
+	if got := e.Exchange().PartitionedInFlight(); got != 0 {
 		t.Fatalf("partitioned groups still registered after failure: %d", got)
 	}
-	if got := e.Active(); got != 0 {
+	if got := e.Counters().Active; got != 0 {
 		t.Fatalf("active queries after failed run: %d", got)
 	}
 	// The engine keeps serving after the failed run.

@@ -200,8 +200,8 @@ func TestEngineSharedBuildRecycling(t *testing.T) {
 		}
 		wantRange(t, "variant A", ra, 0, 32)
 		wantRange(t, "variant B", rb, 16, 32)
-		if len(builds) != 1 || e.HashBuilds() != 1 {
-			t.Fatalf("cache=%v: %d builds constructed, %d executed, want 1 shared build", withCache, len(builds), e.HashBuilds())
+		if len(builds) != 1 || e.Counters().HashBuilds != 1 {
+			t.Fatalf("cache=%v: %d builds constructed, %d executed, want 1 shared build", withCache, len(builds), e.Counters().HashBuilds)
 		}
 		tbl := builds[0].Table()
 		if got := recycled(tbl); got == withCache {
@@ -221,8 +221,8 @@ func TestEngineSharedBuildRecycling(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantRange(t, "cached rerun", r, 0, 32)
-			if e.HashBuilds() != 1 || recycled(tbl) {
-				t.Errorf("cached rerun: HashBuilds = %d (want 1), recycled = %v (want false)", e.HashBuilds(), recycled(tbl))
+			if e.Counters().HashBuilds != 1 || recycled(tbl) {
+				t.Errorf("cached rerun: HashBuilds = %d (want 1), recycled = %v (want false)", e.Counters().HashBuilds, recycled(tbl))
 			}
 		}
 		e.Close()

@@ -26,16 +26,6 @@ const traceCap = 256
 // Tracer returns the engine's per-query lifecycle tracer.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// Audit returns the engine's model-accuracy audit: predicted-vs-measured
-// benefit per decision kind.
-func (e *Engine) Audit() *obs.Audit { return e.audit }
-
-// Parks returns the number of idle-park episodes the scheduler's workers
-// have taken since startup — the complement of Steals for judging whether
-// the work-stealing balancer keeps workers fed. A cluster shard reports its
-// pool's count.
-func (e *Engine) Parks() int64 { return e.sched.Parks() }
-
 // Trace returns the handle's lifecycle trace.
 func (h *Handle) Trace() *obs.QueryTrace { return h.trace }
 

@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/tpch"
@@ -16,18 +19,19 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden /metrics surface files in testdata/")
 
-// runFixedSequence starts a server of the given shard count and runs every
-// family's variants 0 and 1 one at a time (each waits for the previous
-// reply), so every admission and sharing decision is taken on an idle
-// engine and the set of decision kinds the audit reports is fixed. It
-// drains the server before returning.
-func runFixedSequence(t *testing.T, shards int) *server.Server {
+// runFixedSequence starts a server of the given shard count (with cache as
+// its keep-alive cache, nil for none) and runs every family's variants 0
+// and 1 one at a time (each waits for the previous reply), so every
+// admission and sharing decision is taken on an idle engine and the set of
+// decision kinds the audit reports is fixed. It returns the server, still
+// admitting, and the connection the sequence ran on.
+func runFixedSequence(t *testing.T, shards int, cache *artifact.Cache) (*server.Server, *wire) {
 	t.Helper()
 	const workers = 2
 	s, addr := startServer(t, server.Config{
 		DB:     db(t),
 		Shards: shards,
-		Engine: engine.Options{Workers: workers, FanOut: engine.FanOutShare},
+		Engine: engine.Options{Workers: workers, FanOut: engine.FanOutShare, Cache: cache},
 		Policy: subplanPolicy(t, workers),
 	})
 	w := dialWire(t, addr)
@@ -40,8 +44,7 @@ func runFixedSequence(t *testing.T, shards int) *server.Server {
 			}
 		}
 	}
-	s.Drain()
-	return s
+	return s, w
 }
 
 // scrape renders the server's registry in Prometheus text format.
@@ -84,7 +87,9 @@ func metricsSurface(exposition string) []string {
 func TestMetricsSurfaceGolden(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := metricsSurface(scrape(t, runFixedSequence(t, shards)))
+			s, _ := runFixedSequence(t, shards, nil)
+			s.Drain()
+			got := metricsSurface(scrape(t, s))
 			path := filepath.Join("testdata", fmt.Sprintf("metrics_%dshard.golden", shards))
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
@@ -111,6 +116,171 @@ func TestMetricsSurfaceGolden(t *testing.T) {
 				if !wantSet[l] {
 					t.Errorf("not in %s: %s", path, l)
 				}
+			}
+		})
+	}
+}
+
+// series sums an exposition's sample values by series name, over every
+// label set; bySeries keys them by the full name{labels} instead.
+func series(t *testing.T, exposition string) (byName, bySeries map[string]float64) {
+	t.Helper()
+	byName, bySeries = map[string]float64{}, map[string]float64{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		name, _, _ := strings.Cut(line[:i], "{")
+		byName[name] += v
+		bySeries[line[:i]] = v
+	}
+	return byName, bySeries
+}
+
+// fieldSeries pairs a Stats field's value with the registry series that
+// must report it.
+type fieldSeries struct {
+	field  string
+	got    int64
+	series string
+}
+
+// The stats op and /metrics read one set of counters: after a fixed run and
+// a drain, every numeric Stats field equals its registry series summed over
+// the shard labels, and a sharded server's per-shard rows equal their
+// shard's series and sum to the top-level counters. The shards share one
+// keep-alive cache, which every shard's cordoba_cache_* series reports
+// whole, so those compare per shard rather than summed.
+func TestStatsAndMetricsOneSource(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cache := artifact.New(artifact.Config{BudgetBytes: 64 << 20, TTL: time.Minute})
+			s, w := runFixedSequence(t, shards, cache)
+			// Then a pipelined burst, so groups form, admission may shed, and
+			// the sharing counters move too (by how much depends on timing).
+			const burst = 12
+			for i := 0; i < burst; i++ {
+				w.send(server.Request{ID: fmt.Sprint(i), Family: []string{"Q1", "Q4", "Q13"}[i%3], Variant: i})
+			}
+			for id, resp := range w.recv(burst) {
+				if resp.Status != server.StatusOK && resp.Status != server.StatusShed {
+					t.Fatalf("%s: %+v", id, resp)
+				}
+			}
+			s.Drain()
+			// An idle pool's workers may still park after the drain, so
+			// each Stats field is read before and after the scrape and its
+			// series must lie between the two reads; every other counter
+			// is at rest and both reads agree.
+			st := s.Stats()
+			byName, bySeries := series(t, scrape(t, s))
+			after := s.Stats()
+			if st.Completed == 0 || st.CompileMisses == 0 || st.CacheMisses == 0 || st.CacheBytes == 0 {
+				t.Fatalf("the fixed run left counters at zero: %+v", st)
+			}
+			fields := func(st server.Stats) []fieldSeries {
+				var pivotJoins int64
+				for _, n := range st.PivotJoins {
+					pivotJoins += n
+				}
+				fs := []fieldSeries{
+					{"Completed", st.Completed, "cordoba_queries_total"},
+					{"Shed", st.Shed, "cordoba_shed_total"},
+					{"Errors", st.Errors, "cordoba_request_errors_total"},
+					{"Active", int64(st.Active), "cordoba_engine_active"},
+					{"Queued", int64(st.Queued), "cordoba_queued"},
+					{"HashBuilds", st.HashBuilds, "cordoba_engine_hash_builds_total"},
+					{"BuildJoins", st.BuildJoins, "cordoba_engine_build_joins_total"},
+					{"InflightAttaches", st.InflightAttaches, "cordoba_engine_inflight_attaches_total"},
+					{"PivotJoins", pivotJoins, "cordoba_engine_pivot_joins_total"},
+					{"CompileHits", st.CompileHits, "cordoba_compile_hits_total"},
+					{"CompileMisses", st.CompileMisses, "cordoba_compile_misses_total"},
+					{"Steals", st.Steals, "cordoba_sched_steals_total"},
+					{"Parks", st.Parks, "cordoba_sched_parks_total"},
+					{"PoolGets", st.PoolGets, "cordoba_pagepool_gets_total"},
+					{"PoolHits", st.PoolHits, "cordoba_pagepool_hits_total"},
+					{"PoolPuts", st.PoolPuts, "cordoba_pagepool_puts_total"},
+					{"BusJoins", st.BusJoins, "cordoba_engine_bus_joins_total"},
+				}
+				if shards > 1 {
+					// One shard reports no routing counters in Stats.
+					fs = append(fs,
+						fieldSeries{"Scatters", st.Scatters, "cordoba_cluster_scatters_total"},
+						fieldSeries{"Routed", st.Routed, "cordoba_cluster_routed_total"})
+				}
+				return fs
+			}
+			lo, hi := fields(st), fields(after)
+			for i, f := range lo {
+				if v := int64(byName[f.series]); v < f.got || v > hi[i].got {
+					t.Errorf("Stats.%s read %d then %d, %s = %d", f.field, f.got, hi[i].got, f.series, v)
+				}
+			}
+			for d, n := range st.Admissions {
+				if want := int64(bySeries[fmt.Sprintf(`cordoba_admissions_total{decision=%q}`, d)]); n != want {
+					t.Errorf("Stats.Admissions[%s] = %d, series %d", d, n, want)
+				}
+			}
+
+			shardLabel := func(i int) string {
+				if shards == 1 {
+					return ""
+				}
+				return fmt.Sprintf(`{shard="%d"}`, i)
+			}
+			for i := 0; i < shards; i++ {
+				for _, f := range []fieldSeries{
+					{"CacheHits", st.CacheHits, "cordoba_cache_hits_total"},
+					{"CacheMisses", st.CacheMisses, "cordoba_cache_misses_total"},
+					{"CacheEvictions", st.CacheEvictions, "cordoba_cache_evictions_total"},
+					{"CacheBytes", st.CacheBytes, "cordoba_cache_bytes"},
+				} {
+					if want := int64(bySeries[f.series+shardLabel(i)]); f.got != want {
+						t.Errorf("Stats.%s = %d, %s%s = %d", f.field, f.got, f.series, shardLabel(i), want)
+					}
+				}
+			}
+
+			if shards == 1 {
+				if len(st.Shards) != 0 {
+					t.Fatalf("one shard reports %d shard rows", len(st.Shards))
+				}
+				return
+			}
+			if len(st.Shards) != shards {
+				t.Fatalf("%d shard rows, want %d", len(st.Shards), shards)
+			}
+			var sum server.ShardStats
+			for i, row := range st.Shards {
+				for _, f := range []fieldSeries{
+					{"Active", int64(row.Active), "cordoba_engine_active"},
+					{"Completed", row.Completed, "cordoba_engine_completed_total"},
+					{"HashBuilds", row.HashBuilds, "cordoba_engine_hash_builds_total"},
+					{"BuildJoins", row.BuildJoins, "cordoba_engine_build_joins_total"},
+					{"BusJoins", row.BusJoins, "cordoba_engine_bus_joins_total"},
+					{"CompileHits", row.CompileHits, "cordoba_compile_hits_total"},
+					{"CompileMisses", row.CompileMisses, "cordoba_compile_misses_total"},
+				} {
+					if want := int64(bySeries[f.series+shardLabel(i)]); f.got != want {
+						t.Errorf("Shards[%d].%s = %d, %s%s = %d", i, f.field, f.got, f.series, shardLabel(i), want)
+					}
+				}
+				sum.HashBuilds += row.HashBuilds
+				sum.BuildJoins += row.BuildJoins
+				sum.BusJoins += row.BusJoins
+				sum.CompileHits += row.CompileHits
+				sum.CompileMisses += row.CompileMisses
+			}
+			if sum.HashBuilds != st.HashBuilds || sum.BuildJoins != st.BuildJoins || sum.BusJoins != st.BusJoins ||
+				sum.CompileHits != st.CompileHits || sum.CompileMisses != st.CompileMisses {
+				t.Errorf("shard rows sum to builds %d, build joins %d, bus joins %d, compile %d/%d; Stats says %d, %d, %d, %d/%d",
+					sum.HashBuilds, sum.BuildJoins, sum.BusJoins, sum.CompileHits, sum.CompileMisses,
+					st.HashBuilds, st.BuildJoins, st.BusJoins, st.CompileHits, st.CompileMisses)
 			}
 		})
 	}

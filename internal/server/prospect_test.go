@@ -38,11 +38,11 @@ func TestShareKeyOfMatchesShareKey(t *testing.T) {
 					}
 					check := func(when string) {
 						t.Helper()
-						hits := e.CompileHits()
+						hits := e.Counters().CompileHits
 						if got, want := e.ShareKeyOf(spec), engine.ShareKey(spec); got != want {
 							t.Fatalf("%s/%d %s: ShareKeyOf = %q, ShareKey = %q", f.Name, v, when, got, want)
 						}
-						if e.CompileHits() != hits {
+						if e.Counters().CompileHits != hits {
 							t.Fatalf("%s/%d %s: ShareKeyOf counted a compile hit", f.Name, v, when)
 						}
 					}
@@ -51,7 +51,7 @@ func TestShareKeyOfMatchesShareKey(t *testing.T) {
 					// whole, running its template on one shard instead.
 					run := func() bool {
 						t.Helper()
-						scatters := s.cluster.Scatters()
+						scatters := s.cluster.Counters().Scatters
 						h, err := s.cluster.Submit(p.plan, nil)
 						if err == nil {
 							_, err = h.Wait()
@@ -59,7 +59,7 @@ func TestShareKeyOfMatchesShareKey(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%d: %v", f.Name, v, err)
 						}
-						return !sharded || s.cluster.Scatters() > scatters
+						return !sharded || s.cluster.Counters().Scatters > scatters
 					}
 					check("cold")
 					if run() && !raceEnabled {

@@ -61,7 +61,7 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	cluster   *engine.Cluster
-	plans     map[string]engine.ShardPlan // "<family>/<variant>" → scatter-gather plan; nil on one shard
+	plans     map[string]engine.ShardPlan // "<family>/<variant>" → plan (see compilePlans)
 	env       core.Env
 	maxDegree int
 	window    int
@@ -109,16 +109,9 @@ func New(cfg Config) (*Server, error) {
 		debug.SetGCPercent(retentionGCPercent)
 	}
 	shards := max(cfg.Shards, 1)
-	var plans map[string]engine.ShardPlan
-	if shards > 1 {
-		sdb, err := tpch.NewShardedDB(cfg.DB, shards)
-		if err != nil {
-			return nil, err
-		}
-		plans, err = tpch.CompileShardPlans(sdb, 0)
-		if err != nil {
-			return nil, err
-		}
+	plans, err := compilePlans(cfg.DB, shards)
+	if err != nil {
+		return nil, err
 	}
 	cluster, err := engine.NewCluster(shards, cfg.Engine)
 	if err != nil {
@@ -155,6 +148,27 @@ func New(cfg Config) (*Server, error) {
 		admissions: make(map[string]int64),
 		conns:      make(map[*conn]struct{}),
 	}, nil
+}
+
+// compilePlans builds the server's plan table, keyed "<family>/<variant>"
+// for every family and variant in [0, Variants): on one shard each plan is
+// the family's spec routed whole, on several the scatter-gather plan over a
+// range-partitioned copy of db.
+func compilePlans(db *tpch.DB, shards int) (map[string]engine.ShardPlan, error) {
+	if shards > 1 {
+		sdb, err := tpch.NewShardedDB(db, shards)
+		if err != nil {
+			return nil, err
+		}
+		return tpch.CompileShardPlans(sdb, 0)
+	}
+	plans := make(map[string]engine.ShardPlan)
+	for _, f := range tpch.Families() {
+		for v := 0; v < f.Variants; v++ {
+			plans[fmt.Sprintf("%s/%d", f.Name, v)] = engine.ShardPlan{Template: f.Spec(db, 0, v)}
+		}
+	}
+	return plans, nil
 }
 
 // Engine exposes shard 0 of the server's cluster: on an unsharded server,
@@ -309,33 +323,18 @@ func (s *Server) groupProspect(p *pending) (m int, remaining float64) {
 }
 
 // pendingFor resolves a query request into the submission admission
-// prices: the route-whole plan of the family's spec, or on a sharded server
-// its precompiled scatter-gather plan, and the candidate models.
+// prices: the family's plan for the variant reduced into [0, Variants), and
+// the candidate models. The candidates come from the plan's template — its
+// single-engine form — so sharded and unsharded servers price arrivals
+// identically.
 func (s *Server) pendingFor(req Request) (*pending, error) {
 	fam, ok := tpch.FamilyByName(req.Family)
 	if !ok {
 		return nil, fmt.Errorf("unknown family %q (have %s)", req.Family, strings.Join(tpch.FamilyNames(), ", "))
 	}
-	p := &pending{req: req}
-	if s.plans != nil {
-		// Sharded: route through the precompiled scatter-gather plan. The
-		// admission candidates come from the template — the plan's single-
-		// engine form — so sharded and unsharded servers price arrivals
-		// identically.
-		sf, ok := tpch.ShardFamilyByName(req.Family)
-		if !ok {
-			return nil, fmt.Errorf("family %q has no shard plan", req.Family)
-		}
-		v := req.Variant % sf.Variants
-		if v < 0 {
-			v += sf.Variants
-		}
-		p.plan = s.plans[fmt.Sprintf("%s/%d", sf.Name, v)]
-	} else {
-		p.plan = engine.ShardPlan{Template: fam.Spec(s.cfg.DB, 0, req.Variant)}
-	}
-	p.cands = candidates(p.plan.Template)
-	return p, nil
+	n := fam.Variants
+	plan := s.plans[fmt.Sprintf("%s/%d", fam.Name, (req.Variant%n+n)%n)]
+	return &pending{req: req, plan: plan, cands: candidates(plan.Template)}, nil
 }
 
 // handleQuery runs one submission through admission control and either
@@ -513,7 +512,11 @@ func (s *Server) Shutdown() {
 	s.cluster.Close()
 }
 
-// Stats snapshots the server and engine counters.
+// Stats snapshots the server's own counters, the process-wide page pool,
+// and the cluster's counters, which it reads from one
+// engine.Cluster.Counters snapshot: the engine counters aggregate every
+// shard, and a sharded server adds the routing counters and one row per
+// shard.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	adm := make(map[string]int64, len(s.admissions))
@@ -529,41 +532,32 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Unlock()
 	st.PoolGets, st.PoolHits, st.PoolPuts = storage.PagePoolStats()
-	c := s.cluster
-	st.HashBuilds, st.BuildJoins, st.BusJoins = c.HashBuilds(), c.BuildJoins(), c.BusJoins()
-	st.CompileHits, st.CompileMisses = c.CompileHits(), c.CompileMisses()
-	// The shards run on one pool, so any shard's scheduler counters are the
-	// pool's: read them once.
-	st.Steals, st.Parks = c.Shard(0).Steals(), c.Shard(0).Parks()
-	cs := c.CacheStats()
-	st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes = cs.Hits, cs.Misses, cs.Evictions, cs.Bytes
-	pj := make(map[int]int64)
-	rows := make([]ShardStats, c.NumShards())
-	for i := range rows {
-		e := c.Shard(i)
-		st.Active += e.Active()
-		st.InflightAttaches += e.InflightAttaches()
-		for lvl, n := range e.PivotLevelJoins() {
-			pj[lvl] += n
-		}
-		rows[i] = ShardStats{
-			Shard:         i,
-			Active:        e.Active(),
-			Completed:     e.Completed(),
-			HashBuilds:    e.HashBuilds(),
-			BuildJoins:    e.BuildJoins(),
-			BusJoins:      e.BusJoins(),
-			CompileHits:   e.CompileHits(),
-			CompileMisses: e.CompileMisses(),
-		}
+	n := s.cluster.Counters()
+	st.Active, st.InflightAttaches = n.Active, n.InflightAttaches
+	st.HashBuilds, st.BuildJoins, st.BusJoins = n.HashBuilds, n.BuildJoins, n.BusJoins
+	st.CompileHits, st.CompileMisses = n.CompileHits, n.CompileMisses
+	st.Steals, st.Parks = n.Steals, n.Parks
+	st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheBytes = n.Cache.Hits, n.Cache.Misses, n.Cache.Evictions, n.Cache.Bytes
+	if len(n.PivotJoins) > 0 {
+		st.PivotJoins = n.PivotJoins
 	}
-	if len(pj) > 0 {
-		st.PivotJoins = pj
-	}
-	if len(rows) > 1 {
+	if len(n.Shards) > 1 {
 		// Sharded: the routing counters and one row per shard, so a stats
 		// probe sees where the work actually landed.
-		st.Scatters, st.Routed, st.Shards = c.Scatters(), c.Routed(), rows
+		st.Scatters, st.Routed = n.Scatters, n.Routed
+		st.Shards = make([]ShardStats, len(n.Shards))
+		for i, r := range n.Shards {
+			st.Shards[i] = ShardStats{
+				Shard:         i,
+				Active:        r.Active,
+				Completed:     r.Completed,
+				HashBuilds:    r.HashBuilds,
+				BuildJoins:    r.BuildJoins,
+				BusJoins:      r.BusJoins,
+				CompileHits:   r.CompileHits,
+				CompileMisses: r.CompileMisses,
+			}
+		}
 	}
 	return st
 }

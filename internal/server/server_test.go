@@ -392,3 +392,29 @@ func TestServerTenantRoundRobin(t *testing.T) {
 		}
 	}
 }
+
+// A variant outside [0, Variants) reduces modulo the family size on every
+// topology: variant −1 of a three-variant family is variant 2, whether the
+// server runs one shard or two.
+func TestServerNegativeVariant(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, addr := startServer(t, server.Config{
+				DB:     db(t),
+				Shards: shards,
+				Engine: engine.Options{Workers: 2},
+			})
+			w := dialWire(t, addr)
+			w.send(server.Request{ID: "neg", Family: "Q1", Variant: -1})
+			w.send(server.Request{ID: "two", Family: "Q1", Variant: 2})
+			resps := w.recv(2)
+			neg, two := resps["neg"], resps["two"]
+			if neg.Status != server.StatusOK || two.Status != server.StatusOK {
+				t.Fatalf("responses: %+v", resps)
+			}
+			if neg.Rows != two.Rows {
+				t.Errorf("variant -1 returned %d rows, variant 2 %d", neg.Rows, two.Rows)
+			}
+		})
+	}
+}

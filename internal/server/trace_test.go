@@ -159,10 +159,10 @@ func TestServerMetricsExposition(t *testing.T) {
 }
 
 // A sharded server runs every shard on one worker pool, so its scheduler
-// counters exist once: Stats().Steals is the pool's count (which every
-// shard reports alike), and the Prometheus exposition carries each
+// counters exist once: the Prometheus exposition carries each
 // cordoba_sched_* and page-queue series exactly once, with no per-shard
-// copies and no steals summed across shards.
+// copies, and its steals series is Stats().Steals, the pool's count, not a
+// sum across shards.
 func TestServerShardedPoolCountersOnce(t *testing.T) {
 	const workers = 1
 	s, addr := startServer(t, server.Config{
@@ -183,12 +183,6 @@ func TestServerShardedPoolCountersOnce(t *testing.T) {
 
 	s.Drain() // every task done: no steal lands between the reads below
 	st := s.Stats()
-	c := s.Cluster()
-	for i := 0; i < c.NumShards(); i++ {
-		if got := c.Shard(i).Steals(); got != st.Steals {
-			t.Errorf("shard %d reports %d steals, Stats %d: not one pool's count", i, got, st.Steals)
-		}
-	}
 
 	var b strings.Builder
 	if err := s.Metrics().WritePrometheus(&b); err != nil {

@@ -386,17 +386,10 @@ type Exchange struct {
 	sweepReclaims int64
 }
 
-// ScanRegistry is the exchange's historical name; the engine and older
-// call sites still reach the registry through it.
-type ScanRegistry = Exchange
-
 // NewExchange creates an empty work-exchange registry.
 func NewExchange() *Exchange {
 	return &Exchange{entries: make(map[string]exchangeEntry)}
 }
-
-// NewScanRegistry creates an empty registry (alias of NewExchange).
-func NewScanRegistry() *Exchange { return NewExchange() }
 
 // registerLocked installs an entry under key, parking any still-live entry
 // it supersedes on the orphan list. Caller holds r.mu.

@@ -10,7 +10,7 @@ import (
 // the "parallelize" counterpart of the circular scan in scanshare.go: where
 // a circular scan delivers *every* page to *every* attached consumer (work
 // sharing), a dispenser delivers every page to *exactly one* clone of the
-// group (work partitioning). Both are registered in the same ScanRegistry,
+// group (work partitioning). Both are registered in the same Exchange,
 // so partitioned scans and in-flight shared scans over the same table
 // coexist and can be monitored together.
 

@@ -94,7 +94,7 @@ func TestMorselDispenserEdges(t *testing.T) {
 // over the same key never steal each other's spans.
 func TestPublishPartitionedIsolatedGroups(t *testing.T) {
 	const rows = 1000
-	r := NewScanRegistry()
+	r := NewExchange()
 	a := r.PublishPartitioned("lineitem/q6", rows, 100)
 	b := r.PublishPartitioned("lineitem/q6", rows, 100)
 	if got := r.PartitionedInFlight(); got != 2 {
@@ -128,7 +128,7 @@ func TestPublishPartitionedIsolatedGroups(t *testing.T) {
 // — sees every row exactly once individually. Run under -race in CI.
 func TestPartitionedAndInflightExactlyOnce(t *testing.T) {
 	const rows = 5_000
-	r := NewScanRegistry()
+	r := NewExchange()
 
 	var wg sync.WaitGroup
 	// Clone group: 3 partitioned readers.

@@ -201,7 +201,7 @@ func TestCircularScanDetach(t *testing.T) {
 // attach, some detaching early. Every consumer that stays attached must be
 // completed by the drive loop.
 func TestCircularScanConcurrentAttachDetach(t *testing.T) {
-	reg := NewScanRegistry()
+	reg := NewExchange()
 	cs := reg.Publish("t/concurrent", 512, 8)
 	if reg.Lookup("t/concurrent") != cs {
 		t.Fatal("Lookup did not return the published scan")
@@ -259,10 +259,10 @@ func TestCircularScanConcurrentAttachDetach(t *testing.T) {
 	}
 }
 
-// TestScanRegistrySupersede verifies a newer scan under the same key
+// TestExchangeScanSupersede verifies a newer scan under the same key
 // replaces the old one without the old scan's close evicting the new.
-func TestScanRegistrySupersede(t *testing.T) {
-	reg := NewScanRegistry()
+func TestExchangeScanSupersede(t *testing.T) {
+	reg := NewExchange()
 	old := reg.Publish("t/k", 8, 8)
 	old.Attach()
 	nw := reg.Publish("t/k", 8, 8)

@@ -129,7 +129,7 @@ func TestQ6FamilySupersetResidual(t *testing.T) {
 					t.Errorf("variant %d: shared result differs from run-alone", v)
 				}
 			}
-			if joins := e.PivotLevelJoins(); joins[0] != Q6FamilyVariants-1 {
+			if joins := e.Counters().PivotJoins; joins[0] != Q6FamilyVariants-1 {
 				t.Errorf("pivot-level joins = %v, want %d at level 0", joins, Q6FamilyVariants-1)
 			}
 		})
@@ -207,7 +207,7 @@ func TestQ1FamilyPivotLift(t *testing.T) {
 			t.Errorf("member %d: agg-pivot shared result differs from reference", i)
 		}
 	}
-	if joins := e.PivotLevelJoins(); joins[1] != 1 {
+	if joins := e.Counters().PivotJoins; joins[1] != 1 {
 		t.Errorf("pivot-level joins = %v, want 1 at level 1", joins)
 	}
 }
@@ -293,10 +293,10 @@ func TestQ4FamilyBuildShare(t *testing.T) {
 			t.Errorf("variant %d: shared result differs from run-alone", v)
 		}
 	}
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want exactly 1", got)
 	}
-	if got := e.BuildJoins(); got != 1 {
+	if got := e.Counters().BuildJoins; got != 1 {
 		t.Errorf("BuildJoins = %d, want 1", got)
 	}
 	if got := e.Exchange().BuildStatesInFlight(); got != 0 {
@@ -332,10 +332,10 @@ func TestQ13FamilyBuildShare(t *testing.T) {
 			t.Errorf("variant %d: shared result differs from reference", v)
 		}
 	}
-	if got := e.HashBuilds(); got != 1 {
+	if got := e.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds = %d, want exactly 1", got)
 	}
-	if got := e.BuildJoins(); got != int64(Q13FamilyVariants-1) {
+	if got := e.Counters().BuildJoins; got != int64(Q13FamilyVariants-1) {
 		t.Errorf("BuildJoins = %d, want %d", got, Q13FamilyVariants-1)
 	}
 }
@@ -384,19 +384,19 @@ func TestQ4FamilyCacheAcrossBursts(t *testing.T) {
 	cache := artifact.New(artifact.Config{BudgetBytes: 64 << 20, TTL: time.Minute})
 	warm := familyEngine(t, engine.Options{Workers: 2, Cache: cache})
 	runBursts(warm)
-	if got := warm.HashBuilds(); got != 1 {
+	if got := warm.Counters().HashBuilds; got != 1 {
 		t.Errorf("HashBuilds with cache = %d, want exactly 1 across %d bursts", got, bursts)
 	}
-	if got := warm.CacheHits(); got < int64(bursts-1) {
+	if got := warm.Counters().Cache.Hits; got < int64(bursts-1) {
 		t.Errorf("CacheHits = %d, want at least one per warm burst (%d)", got, bursts-1)
 	}
-	if got, budget := warm.CacheBytes(), int64(64<<20); got <= 0 || got > budget {
+	if got, budget := warm.Counters().Cache.Bytes, int64(64<<20); got <= 0 || got > budget {
 		t.Errorf("CacheBytes = %d, want within (0, %d]", got, budget)
 	}
 
 	cold := familyEngine(t, engine.Options{Workers: 2})
 	runBursts(cold)
-	if got := cold.HashBuilds(); got < int64(bursts) {
+	if got := cold.Counters().HashBuilds; got < int64(bursts) {
 		t.Errorf("HashBuilds without cache = %d, want at least one per burst (%d)", got, bursts)
 	}
 }

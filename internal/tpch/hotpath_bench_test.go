@@ -100,7 +100,7 @@ func BenchmarkClusterScatter(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			routed := c.Routed()
+			routed := c.Counters().Routed
 			slots := make(chan struct{}, inflight)
 			var wg sync.WaitGroup
 			var failed atomic.Pointer[error]
@@ -125,8 +125,8 @@ func BenchmarkClusterScatter(b *testing.B) {
 			if err := failed.Load(); err != nil {
 				b.Fatal(*err)
 			}
-			if c.Routed() != routed {
-				b.Fatalf("%d of %d plans routed whole instead of scattering", c.Routed()-routed, b.N)
+			if c.Counters().Routed != routed {
+				b.Fatalf("%d of %d plans routed whole instead of scattering", c.Counters().Routed-routed, b.N)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package tpch
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/storage"
@@ -123,17 +122,6 @@ func ShardFamilies() []ShardFamily {
 		{Name: "Q4", Variants: Q4FamilyVariants, Plan: (*ShardedDB).Q4FamilyShardPlan, Reference: Q4FamilyReference},
 		{Name: "Q13", Variants: Q13FamilyVariants, Plan: (*ShardedDB).Q13FamilyShardPlan, Reference: Q13FamilyReference},
 	}
-}
-
-// ShardFamilyByName resolves a scatter-gather family by case-insensitive
-// name.
-func ShardFamilyByName(name string) (ShardFamily, bool) {
-	for _, f := range ShardFamilies() {
-		if strings.EqualFold(f.Name, name) {
-			return f, true
-		}
-	}
-	return ShardFamily{}, false
 }
 
 // CompileShardPlans compiles every (family, variant) ShardPlan for one

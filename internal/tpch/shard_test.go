@@ -124,7 +124,7 @@ func TestShardFamiliesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		if k > 1 && c.Scatters() == 0 {
+		if k > 1 && c.Counters().Scatters == 0 {
 			t.Errorf("%d shards: no plan scattered", k)
 		}
 		c.Drain()
@@ -155,7 +155,7 @@ func TestShardBusOneBuild(t *testing.T) {
 	}
 	// All four shard submissions land before any work runs: exactly one
 	// shard anchored the build, the rest joined through the bus.
-	if got := c.BusJoins(); got != k-1 {
+	if got := c.Counters().BusJoins; got != k-1 {
 		t.Fatalf("bus joins = %d, want %d", got, k-1)
 	}
 	c.Start()
@@ -163,7 +163,7 @@ func TestShardBusOneBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds := c.HashBuilds(); builds != 1 {
+	if builds := c.Counters().HashBuilds; builds != 1 {
 		t.Fatalf("cluster ran %d hash builds, want exactly 1", builds)
 	}
 	want, err := Q4FamilyReference(db, 0)
@@ -213,7 +213,7 @@ func TestShardBusOneBuildAcrossVariants(t *testing.T) {
 			t.Errorf("variant %d: scattered result differs from reference", v)
 		}
 	}
-	if builds := c.HashBuilds(); builds != 1 {
+	if builds := c.Counters().HashBuilds; builds != 1 {
 		t.Fatalf("cluster ran %d hash builds for %d scattered variants, want 1", builds, Q13FamilyVariants)
 	}
 	c.Drain()
