@@ -5,20 +5,29 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/policy"
 	"repro/internal/storage"
 )
 
 // BenchmarkSubmitPath measures the end-to-end submit path of a repeated
 // query family, cold (PlanKey stripped, every submit recanonicalizes) vs
 // warm (memoized compile artifact). Run with -benchmem: the warm arm should
-// show fewer allocs/op by the full canonicalization working set.
+// show fewer allocs/op by the full canonicalization working set. Both run
+// never-share; warm-subplan submits the warm spec under the subplan policy,
+// so every submit also walks the pivot candidates and the decision tail.
 func BenchmarkSubmitPath(b *testing.B) {
 	db := MustGenerate(Config{ScaleFactor: 0.002, Seed: 42})
+	subplan, _, err := policy.ByName("subplan", core.NewEnv(2), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, arm := range []struct {
-		name string
-		warm bool
-	}{{"cold", false}, {"warm", true}} {
+		name   string
+		warm   bool
+		policy engine.SharePolicy
+	}{{"cold", false, nil}, {"warm", true, nil}, {"warm-subplan", true, policy.ForEngine(subplan)}} {
 		b.Run(arm.name, func(b *testing.B) {
 			e, err := engine.New(engine.Options{Workers: 2})
 			if err != nil {
@@ -32,7 +41,7 @@ func BenchmarkSubmitPath(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h, err := e.Submit(spec, nil)
+				h, err := e.Submit(spec, arm.policy)
 				if err != nil {
 					b.Fatal(err)
 				}
