@@ -19,19 +19,50 @@ import (
 // to late joiners), so a build group stays joinable until its last prober
 // releases the table.
 //
-// Two paths create a buildShare:
+// One constructor creates every buildShare (newBuildShareLocked), and its
+// table has one of three origins (buildOrigin): built here by the group's
+// own build subtree, retained in the keep-alive cache, or foreign — owned by
+// another engine on the shared bus. Two group shapes carry a share:
 //
-//   - a pure build group, anchored at a Build pivot candidate: the build
-//     subtree plus the collector are the shared part and every member —
-//     anchor included — runs the probe subtree, the probe phase, and
-//     everything above privately;
-//   - a mixed group, anchored at a fan-out pivot whose shared subtree
-//     contains a join with split Build/Probe forms: the group's own join
-//     runs split (collector + one shared probe feeding the pivot fan-out)
-//     and the sealed table is additionally published under the build key,
-//     so a different-variant query that cannot match the anchor level still
-//     attaches to the build — sharing at the highest possible level, and
-//     below it when that is all the plans have in common.
+//   - a pure build group (newBuildGroupLocked), anchored at a Build pivot
+//     candidate: the build subtree plus the collector are the shared part
+//     and every member — anchor included — runs the probe subtree, the
+//     probe phase, and everything above privately;
+//   - a mixed group (newGroupLocked), anchored at a fan-out pivot whose
+//     shared subtree contains a join with split Build/Probe forms: the
+//     group's own join runs split (collector + one shared probe feeding the
+//     pivot fan-out) and the sealed table is additionally published under
+//     the build key, so a different-variant query that cannot match the
+//     anchor level still attaches to the build — sharing at the highest
+//     possible level, and below it when that is all the plans have in
+//     common.
+
+// buildOrigin says where a build share's table comes from. It decides who
+// may seal and retire the exchange state, whether the seal counts a build,
+// and how many reader claims the seal marks.
+type buildOrigin uint8
+
+const (
+	// builtHere: the group's build subtree and collector build the table.
+	// The share publishes the state, seals it, and counts the build.
+	builtHere buildOrigin = iota
+	// retained: the table was served from the keep-alive cache. The share
+	// publishes a state that starts sealed; no build runs or is counted.
+	retained
+	// foreign: another engine on the shared bus owns the state; the build
+	// runs (or ran) on the owner's shard. The share only parks local probers
+	// until the owner seals, and never seals or retires the state itself —
+	// other shards may still be sharing it.
+	foreign
+)
+
+// buildSource is where a new build share's table comes from: its origin,
+// plus the retained table or the foreign state it wraps.
+type buildSource struct {
+	origin buildOrigin
+	table  *relop.HashTable    // retained
+	state  *storage.BuildState // foreign
+}
 
 // buildShare coordinates one shared hash-join build: the exchange entry, the
 // waiters parked until the seal, and the reader-claim accounting on the
@@ -42,14 +73,12 @@ type buildShare struct {
 	key   string
 	pivot int // root of the build subtree
 	state *storage.BuildState
-	// foreign marks a share wrapping a build state owned by another engine on
-	// a shared exchange (the cross-shard artifact bus): the build subtree runs
-	// on the owner's shard, this engine only parks probers until the owner
-	// seals (adoptForeign) and never retires the state on a local failure —
-	// other shards may still be sharing it. Every local prober of a foreign
-	// share claims a reader mark (the owner's group holds the table's base
-	// ownership), so claim accounting stays balanced across engines.
-	foreign bool
+	// origin is where the table comes from. An owned share (built here or
+	// retained) holds the table's base ownership, so only its probers beyond
+	// the first claim reader marks; every local prober of a foreign share
+	// claims one (the owner's group holds the base ownership), so claim
+	// accounting stays balanced across engines.
+	origin buildOrigin
 	// recycle marks a share whose table returns to its store pool at the
 	// last release (see releaseProber): set when the engine has no
 	// keep-alive cache, so nothing can hold the table past its probers.
@@ -57,7 +86,7 @@ type buildShare struct {
 	// does, since other shards may still be probing.
 	recycle bool
 	// onSeal runs once just before the build seals (the engine counts
-	// executed builds through it).
+	// executed builds through it). Only a share built here has one.
 	onSeal func()
 
 	mu      sync.Mutex
@@ -65,7 +94,7 @@ type buildShare struct {
 	table   *relop.HashTable
 	sealed  bool
 	failed  bool
-	probers int // live probers; claims on the table rows are probers-1
+	probers int // live probers; the table rows carry probers-1 claims (probers when foreign)
 }
 
 // newWaiter registers a ready queue the probe task parks on until the table
@@ -97,7 +126,7 @@ func (bs *buildShare) attachProber() bool {
 	}
 	bs.mu.Lock()
 	bs.probers++
-	if bs.sealed && bs.table != nil && (bs.probers > 1 || bs.foreign) {
+	if bs.sealed && bs.table != nil && (bs.probers > 1 || bs.origin == foreign) {
 		bs.table.Rows().MarkShared(1)
 	}
 	bs.mu.Unlock()
@@ -131,20 +160,23 @@ func (bs *buildShare) releaseProber() {
 	}
 }
 
-// seal counts the build, then publishes the built table: marks the pre-seal
-// probers' reader claims, registers the artifact with the exchange entry,
-// and wakes every waiter. The count comes before any prober can see the
-// table, so a member's result never completes ahead of its build being
-// counted. Only the share's collector seals, so the check and the seal
-// cannot interleave with another seal.
+// seal publishes the table: it marks the reader claims of the probers
+// attached before the seal (probers-1 on an owned share, probers on a
+// foreign one), registers the artifact with the exchange entry when the
+// share owns it, and wakes every waiter. A share built here counts its build
+// first, before any prober can see the table, so a member's result never
+// completes ahead of its build being counted. Each share has one sealer —
+// its collector, its constructor (retained) or the owner's seal
+// subscription (foreign) — so the check and the seal cannot interleave with
+// another seal.
 func (bs *buildShare) seal(tbl *relop.HashTable) {
-	bs.mu.Lock()
-	done := bs.sealed || bs.failed
-	bs.mu.Unlock()
-	if done {
-		return
-	}
 	if bs.onSeal != nil {
+		bs.mu.Lock()
+		done := bs.sealed || bs.failed
+		bs.mu.Unlock()
+		if done {
+			return
+		}
 		bs.onSeal()
 	}
 	bs.mu.Lock()
@@ -154,109 +186,53 @@ func (bs *buildShare) seal(tbl *relop.HashTable) {
 	}
 	bs.sealed = true
 	bs.table = tbl
-	if bs.probers > 1 {
-		tbl.Rows().MarkShared(bs.probers - 1)
+	claims := bs.probers - 1
+	if bs.origin == foreign {
+		claims = bs.probers
+	}
+	if claims > 0 {
+		tbl.Rows().MarkShared(claims)
 	}
 	ready := bs.ready
 	bs.ready = nil
 	bs.mu.Unlock()
-	bs.state.Seal(tbl)
+	if bs.origin != foreign {
+		bs.state.Seal(tbl)
+	}
 	for _, q := range ready {
 		q.Close()
 	}
 }
 
-// sealCached publishes a table served from the keep-alive cache: the share
-// starts life sealed, so waiters (there are none yet on a fresh group, but
-// the path is uniform) proceed immediately and every prober attaches
-// post-seal. Unlike seal it fires no onSeal hook — no build executed — and
-// marks no reader claims, since no prober has attached yet.
-func (bs *buildShare) sealCached(tbl *relop.HashTable) {
-	bs.mu.Lock()
-	if bs.sealed || bs.failed {
-		bs.mu.Unlock()
-		return
-	}
-	bs.sealed = true
-	bs.table = tbl
-	ready := bs.ready
-	bs.ready = nil
-	bs.mu.Unlock()
-	bs.state.Seal(tbl)
-	for _, q := range ready {
-		q.Close()
-	}
-}
-
-// adoptForeign publishes a table sealed by another engine's build into this
-// engine's share: local waiters wake, and every local prober claims a reader
-// mark on the table rows (the owner's group holds the base ownership, so
-// local claims and releases must balance exactly — probers, not probers-1).
-// It fires no onSeal hook (the build executed, and was counted, on the
-// owner's shard) and never touches the shared state, which the owner has
-// already sealed.
-func (bs *buildShare) adoptForeign(tbl *relop.HashTable) {
-	bs.mu.Lock()
-	if bs.sealed || bs.failed {
-		bs.mu.Unlock()
-		return
-	}
-	bs.sealed = true
-	bs.table = tbl
-	if bs.probers > 0 {
-		tbl.Rows().MarkShared(bs.probers)
-	}
-	ready := bs.ready
-	bs.ready = nil
-	bs.mu.Unlock()
-	for _, q := range ready {
-		q.Close()
-	}
-}
-
-// failLocal aborts this engine's side of a foreign share — the owner's build
-// died, or a local member poisoned the local group. Waiters wake into the
-// failure path, but the shared state is left alone: it belongs to the owner's
-// engine and other shards may still be probing it. The probers' state
+// failShare aborts the share: waiters are woken into the failure path, and
+// an owned share's exchange entry retires so no further query discovers the
+// group. An owned share clears its keep-alive hand-off first — a group that
+// failed must not seed the cache, even when its table had already sealed
+// (the artifact may be fine, but a poisoned group is not the provenance to
+// trust). A foreign share leaves the state alone: it belongs to the owner's
+// engine and other shards may still be probing it. Probers' state
 // references are dropped by their tasks' usual retire path.
-func (bs *buildShare) failLocal() {
-	bs.mu.Lock()
-	if bs.sealed || bs.failed {
-		bs.mu.Unlock()
-		return
-	}
-	bs.failed = true
-	ready := bs.ready
-	bs.ready = nil
-	bs.mu.Unlock()
-	for _, q := range ready {
-		q.Close()
-	}
-}
-
-// failShare aborts the build: waiters are woken into the failure path and
-// the exchange entry retires so no further query discovers the group. The
-// keep-alive hand-off is cleared first — a group that failed must not seed
-// the cache, even when its table had already sealed (the artifact may be
-// fine, but a poisoned group is not the provenance to trust).
 func (bs *buildShare) failShare() {
-	bs.state.SetHandoff(nil)
-	bs.mu.Lock()
-	if bs.sealed || bs.failed {
-		bs.mu.Unlock()
-		// A failure after the seal (a member chain died) leaves the sealed
-		// table usable; only discoverability ends.
-		bs.state.Retire()
-		return
+	owned := bs.origin != foreign
+	if owned {
+		bs.state.SetHandoff(nil)
 	}
-	bs.failed = true
-	ready := bs.ready
-	bs.ready = nil
+	// A failure after the seal (a member chain died) leaves the sealed table
+	// usable; only discoverability ends.
+	var ready []*PageQueue
+	bs.mu.Lock()
+	if !bs.sealed && !bs.failed {
+		bs.failed = true
+		ready = bs.ready
+		bs.ready = nil
+	}
 	bs.mu.Unlock()
 	for _, q := range ready {
 		q.Close()
 	}
-	bs.state.Retire()
+	if owned {
+		bs.state.Retire()
+	}
 }
 
 // sealedTable returns the table once available; ok is false while the build
@@ -270,6 +246,7 @@ func (bs *buildShare) sealedTable() (*relop.HashTable, bool) {
 // buildCollectorTask drains the build subtree's output into a JoinBuild and
 // seals the shared state when the stream ends — the stop-&-go build phase of
 // Section 5.3.3, run once per group however many queries probe the result.
+// A failed build fails the group, whose failure hook fails the share.
 type buildCollectorTask struct {
 	name  string
 	jb    *relop.JoinBuild
@@ -292,7 +269,6 @@ func (bt *buildCollectorTask) step(t *Task) Status {
 		bt.clock.measure(bt.name, func() { err = bt.jb.Push(b) })
 		if err != nil {
 			bt.fail(err)
-			bt.bs.failShare()
 			return Done
 		}
 		// The build copies what it hashes; drop this consumer's claim on a
@@ -304,7 +280,6 @@ func (bt *buildCollectorTask) step(t *Task) Status {
 		bt.clock.measure(bt.name, func() { err = bt.jb.Finish() })
 		if err != nil {
 			bt.fail(err)
-			bt.bs.failShare()
 			return Done
 		}
 		var tbl *relop.HashTable

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -18,10 +17,12 @@ import (
 //     release, the exchange's hand-off hook passes the sealed
 //     relop.HashTable here instead of dropping it, keyed by the build
 //     subtree's canonical fingerprint. A later arrival whose build candidate
-//     fingerprint-matches anchors a cache-served group: the table is already
+//     fingerprint-matches anchors a build group over the retained table
+//     (newBuildGroupLocked with a retained origin): the table is already
 //     sealed, the build subtree never runs, and the arrival registers as a
 //     late attach with zero build work — one hash build amortized across
-//     bursts, not just within one;
+//     bursts, not just within one. A mixed group's split join is served the
+//     same way;
 //   - completed pivot result runs: a query whose spec offers a root-level
 //     pivot candidate has a canonical fingerprint covering its entire plan,
 //     so its finished result batch is itself a shareable artifact. The sink
@@ -93,24 +94,10 @@ func (e *Engine) lookupCachedResult(h *Handle) (*storage.Batch, bool) {
 // closed-loop resubmission from the callback re-enters Submit without any
 // engine lock held.
 func (e *Engine) serveResult(h *Handle, res *storage.Batch) {
-	go func() {
-		out := res.Clone()
-		h.mu.Lock()
-		h.result = out
-		h.completed = time.Now()
-		wall := h.completed.Sub(h.submitted)
-		h.mu.Unlock()
-		// A cache-served result shares with the departed group that produced
-		// the artifact — size 2 for the audit's purposes.
-		e.observeCompletion(h, nil, 2, wall)
-		e.mu.Lock()
-		e.n.Completed++
-		e.mu.Unlock()
-		close(h.done)
-		if h.onDone != nil {
-			h.onDone(out, nil)
-		}
-	}()
+	// A cache-served result shares with the departed group that produced the
+	// artifact — size 2 for the audit's purposes. It was never counted in
+	// Active.
+	go func() { e.resolve(h, res.Clone(), nil, 2, false) }()
 }
 
 // captureResult offers a successful query's result batch to the keep-alive
@@ -144,40 +131,6 @@ func (e *Engine) lookupCachedTable(key string, epoch uint64) (*relop.HashTable, 
 	}
 	tbl, ok := v.(*relop.HashTable)
 	return tbl, ok
-}
-
-// newCachedBuildGroupLocked anchors a build-sharing group on a table served
-// from the keep-alive cache: structurally a pure build group
-// (newBuildGroupLocked) whose build already happened — the share starts
-// sealed, no collector or build-subtree task is spawned, and the first
-// member attaches its probe to the retained table immediately. The group is
-// joinable like any build group, so the rest of a burst merges into it; when
-// its last prober releases, the hand-off re-offers the table to the cache
-// with its original epoch, refreshing the keep-alive window. The executed-
-// build counter is untouched: no build ran. Caller holds e.mu.
-func (e *Engine) newCachedBuildGroupLocked(spec QuerySpec, opt PivotOption, h *Handle, tbl *relop.HashTable, epoch uint64, cp *Compiled) (*shareGroup, error) {
-	gspec := spec
-	gspec.Pivot = opt.Pivot
-	gspec.Model = opt.Model
-	g := &shareGroup{signature: spec.Signature, spec: gspec, size: 1}
-	bs := e.newBuildShareLocked(g, cp.buildKeyAt(opt.Pivot), opt, epoch)
-	g.key = g.buildKey
-	g.onFail = func() {
-		bs.failShare()
-		e.sealGroup(g)
-	}
-	bs.sealCached(tbl)
-	if !bs.attachProber() {
-		return nil, fmt.Errorf("%w: fresh cached build state rejected attach", ErrBadSpec)
-	}
-	_, start, err := e.buildMember(g, gspec, h, bs, cp)
-	if err != nil {
-		bs.releaseProber()
-		bs.failShare()
-		return nil, err
-	}
-	start()
-	return g, nil
 }
 
 // sweepLoop runs the engine's background exchange sweep on a fixed cadence

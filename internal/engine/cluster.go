@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/relop"
 	"repro/internal/storage"
 )
 
@@ -26,58 +25,13 @@ import (
 // every shard-local work-sharing mechanism (fan-out groups, circular scans,
 // build shares, the keep-alive cache) keeps operating on the scattered
 // fragments, and the shared bus extends build-side sharing across the shards
-// themselves. A shard is not a worker pool: every shard's tasks run on the
+// themselves: a shard that finds another shard's build state on the bus
+// anchors a local build group over it (newBuildGroupLocked with a foreign
+// origin), whose members park until the owner seals and then probe the one
+// table. A shard is not a worker pool: every shard's tasks run on the
 // cluster's one Scheduler, so a worker with nothing of one shard's to run
 // steals another shard's work (morsel-driven scheduling), and the k×Workers
 // processors the admission model prices are one pool in fact.
-
-// newBusBuildGroupLocked anchors a local build-sharing group on a build state
-// published by another engine on the shared bus: the build subtree runs (or
-// already ran) on the owner's shard, and this engine's members only park
-// until the owner seals, then probe the one table privately — the cross-shard
-// counterpart of newCachedBuildGroupLocked, for artifacts still in flight.
-// The share is foreign: a local failure never retires the owner's state, and
-// local claim accounting covers every local prober (the owner's group holds
-// the table's base ownership). It returns (nil, nil) when the state retired
-// between the caller's lookup and the attach — the caller then falls through
-// to its remaining candidates. Caller holds e.mu.
-func (e *Engine) newBusBuildGroupLocked(spec QuerySpec, opt PivotOption, h *Handle, st *storage.BuildState, cp *Compiled) (*shareGroup, error) {
-	gspec := spec
-	gspec.Pivot = opt.Pivot
-	gspec.Model = opt.Model
-	g := &shareGroup{signature: spec.Signature, spec: gspec, size: 1}
-	bs := &buildShare{key: cp.buildKeyAt(opt.Pivot), pivot: opt.Pivot, state: st, foreign: true}
-	g.build = bs
-	g.buildKey = bs.key
-	g.key = bs.key
-	g.onFail = func() {
-		bs.failLocal()
-		e.sealGroup(g)
-	}
-	if !bs.attachProber() {
-		return nil, nil
-	}
-	// Subscribe after the attach: the prober reference pins the state, so the
-	// subscription always resolves — immediately when the owner has already
-	// sealed, at the owner's seal otherwise, and with sealed=false if the
-	// owner's build fails (waking local waiters into the failure path).
-	st.Subscribe(func(v any, sealed bool) {
-		if sealed {
-			if tbl, ok := v.(*relop.HashTable); ok {
-				bs.adoptForeign(tbl)
-				return
-			}
-		}
-		bs.failLocal()
-	})
-	_, start, err := e.buildMember(g, gspec, h, bs, cp)
-	if err != nil {
-		bs.releaseProber()
-		return nil, err
-	}
-	start()
-	return g, nil
-}
 
 // ShardPlan is one query compiled for scatter-gather execution: the original
 // single-engine form (the template), one partial-form spec per shard, and the

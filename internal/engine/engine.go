@@ -521,6 +521,22 @@ func (e *Engine) Submit(spec QuerySpec, policy SharePolicy) (*Handle, error) {
 // worker that finishes the query (after the handle is resolved). Closed-loop
 // drivers use it to resubmit without dedicating a goroutine per client —
 // essential on hosts where spare OS-level parallelism is scarce.
+//
+// The query is committed to the first regime, in this order, that the
+// policy admits and that can still be realized:
+//
+//  1. a retained result run at the current epoch (cache-result);
+//  2. for each pivot candidate, highest level first: the local group
+//     joinable there — a fan-out group (share), an in-flight scan (attach)
+//     or a shared hash build (build-share) — or, for a build candidate
+//     with no local group, a build state on the shared bus (bus-share),
+//     then a table retained in the keep-alive cache (cache-build);
+//  3. partitioned clones, when the spec or a ParallelPolicy asks for a
+//     degree above 1 (parallel);
+//  4. a fresh group (anchor), or a run of its own under a nil policy
+//     (alone).
+//
+// Every regime then runs the same tail (commitLocked).
 func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*storage.Batch, error)) (*Handle, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -553,17 +569,45 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 	if e.drained != nil {
 		return nil, ErrDraining
 	}
+	if err := e.decideLocked(spec, policy, h, cp); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// decision is one resolved candidate regime: the record stampDecision
+// writes, and what realizes it. opt carries the pivot and the model the
+// query runs at; a build option marks a build share.
+type decision struct {
+	kind       string
+	opt        PivotOption
+	m          int
+	z, speedup float64
+	// join is the local group a share, attach or build-share joins.
+	join *shareGroup
+	// src is where a bus-share's or cache-build's table comes from.
+	src buildSource
+	// res is the retained result run a cache-result serves.
+	res *storage.Batch
+	// remaining is the fraction of the scan an in-flight attach shares.
+	remaining float64
+}
+
+// decideLocked resolves the query's regime in SubmitFn's order and commits
+// it. A candidate whose realization fails — its table or scan retired since
+// the lookup — falls through to the next. Caller holds e.mu.
+func (e *Engine) decideLocked(spec QuerySpec, policy SharePolicy, h *Handle, cp *Compiled) error {
+	var d decision
 	// Serve the query outright when a fingerprint-matching result run at
 	// the current epoch is retained — the across-burst analogue of joining
 	// a group whose pivot is the root, so it passes the same admission test
 	// as a size-2 group.
 	if h.resultKey != "" && e.admitSharedLocked(policy, h.resultModel, 2, spec.CanParallel()) {
 		if res, ok := e.lookupCachedResult(h); ok {
-			z, sp := e.shareBenefit(h.resultModel, 2)
-			e.stampDecision(h, "cache-result", len(spec.Nodes)-1, 2, h.resultModel, z, sp)
-			emitDecision(h, "serve", "cached result run")
-			e.serveResult(h, res)
-			return h, nil
+			d = decision{kind: "cache-result", opt: PivotOption{Pivot: len(spec.Nodes) - 1, Model: h.resultModel}, m: 2, res: res}
+			d.z, d.speedup = e.shareBenefit(h.resultModel, 2)
+			_, err := e.commitLocked(spec, policy, h, cp, &d)
+			return err
 		}
 	}
 	if policy != nil {
@@ -575,165 +619,58 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 		// on a warm compile hit.
 		for j, opt := range cp.opts {
 			opt.Model = cp.optModel(spec, j)
-			if opt.Build {
-				// Build-side candidate: the joinable entry is a shared hash
-				// build (pure or published by a mixed group); members attach
-				// to the table — before or after it seals — and run
-				// everything outside the build subtree privately.
-				key := cp.keys[j]
-				g := e.joinable[key]
-				if g != nil && g.build != nil && g.build.state.Retired() {
-					// The table's last prober released it (or the sweep
-					// reclaimed a wedged build); prune the stale entry. The
-					// retired table may live on in the keep-alive cache,
-					// where the consult below finds it.
-					delete(e.joinable, key)
-					g = nil
-				}
-				if g == nil || g.build == nil {
-					// No live local group at this level. On a shared bus the
-					// build may be live on another engine — in flight or
-					// sealed but not yet retired; attaching is sharing with
-					// that engine's group, so it passes the usual admission
-					// test with m counting the state's cluster-wide probers.
-					// A successful attach anchors a local foreign share the
-					// rest of this shard's burst then joins like any build
-					// group.
-					if e.opts.Bus != nil {
-						if st := e.scans.LookupBuildState(key); st != nil &&
-							e.admitSharedLocked(policy, opt.Model, st.Refs()+1, spec.CanParallel()) {
-							z, sp := e.buildBenefit(opt.Model, st.Refs()+1)
-							e.stampDecision(h, "bus-share", opt.Pivot, st.Refs()+1, opt.Model, z, sp)
-							ng, err := e.newBusBuildGroupLocked(spec, opt, h, st, cp)
-							if err != nil {
-								return nil, err
-							}
-							if ng != nil {
-								ng.trace = h.trace
-								emitDecision(h, "attach", "bus build state")
-								e.joinable[ng.key] = ng
-								e.n.BuildJoins++
-								e.n.BusJoins++
-								e.n.PivotJoins[opt.Pivot]++
-								e.n.Active++
-								return h, nil
-							}
-							// The state retired between the lookup and the
-							// attach; fall through to the cache consult.
-						}
+			key := cp.keys[j]
+			g := e.joinable[key]
+			if g != nil && opt.Build && g.build.state.Retired() {
+				// The table's last prober released it (or the sweep
+				// reclaimed a wedged build); prune the stale entry. The
+				// retired table may live on in the keep-alive cache, where
+				// the consult below finds it.
+				delete(e.joinable, key)
+				g = nil
+			}
+			if g != nil {
+				if e.joinDecisionLocked(&d, g, spec, policy, opt) {
+					if ok, err := e.commitLocked(spec, policy, h, cp, &d); ok || err != nil {
+						return err
 					}
-					// Consult the keep-alive cache before giving up on this
-					// level, under the same admission test as joining a
-					// size-2 group (attaching to retained work is sharing
-					// with the departed group that produced it). A hit
-					// anchors a cache-served group — the table is already
-					// sealed, the build subtree never runs, and this query
-					// registers as a late attach with zero build work —
-					// which the rest of the burst then joins like any build
-					// group.
-					if e.admitSharedLocked(policy, opt.Model, 2, spec.CanParallel()) {
-						epoch := cp.epochs[j]
-						if tbl, ok := e.lookupCachedTable(key, epoch); ok {
-							z, sp := e.buildBenefit(opt.Model, 2)
-							e.stampDecision(h, "cache-build", opt.Pivot, 2, opt.Model, z, sp)
-							ng, err := e.newCachedBuildGroupLocked(spec, opt, h, tbl, epoch, cp)
-							if err != nil {
-								return nil, err
-							}
-							ng.trace = h.trace
-							emitDecision(h, "anchor", "cache-served build")
-							e.joinable[ng.key] = ng
-							e.n.BuildJoins++
-							e.n.PivotJoins[opt.Pivot]++
-							e.n.Active++
-							return h, nil
-						}
-					}
-					continue
-				}
-				mspec := spec
-				mspec.Pivot = opt.Pivot
-				mspec.Model = opt.Model
-				g.mu.Lock()
-				m := g.size + 1
-				g.mu.Unlock()
-				if e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel()) {
-					z, sp := e.buildBenefit(mspec.Model, m)
-					e.stampDecision(h, "build-share", opt.Pivot, m, mspec.Model, z, sp)
-					attached, err := e.attachBuildLocked(g, mspec, h, cp)
-					if err != nil {
-						return nil, err
-					}
-					if attached {
-						emitDecision(h, "attach", "shared hash build")
-						e.n.BuildJoins++
-						e.n.PivotJoins[opt.Pivot]++
-						e.n.Active++
-						return h, nil
-					}
-					// The table retired between the lookup and the attach;
-					// fall through to the remaining candidates.
 				}
 				continue
 			}
-			g := e.joinable[cp.keys[j]]
-			if g == nil {
+			if !opt.Build {
 				continue
 			}
-			// The member's view of the spec at this group's level: the
-			// private chain starts above opt.Pivot and the model carries the
-			// coefficients compiled there.
-			mspec := spec
-			mspec.Pivot = opt.Pivot
-			mspec.Model = opt.Model
-			switch {
-			case g.inflight != nil:
-				// In-flight group: members attach to the circular scan at
-				// its current cursor, whether or not the pivot has emitted.
-				// g.firstError guards the window between a member failing
-				// and its abort closing the scan: an arrival there must not
-				// inherit the doomed group's error.
-				if ap, ok := policy.(AttachPolicy); ok && g.firstError() == nil {
-					remaining, active, live := g.inflight.scan.Remaining()
-					admit := func() bool {
-						if lap, ok := policy.(LoadAwarePolicy); ok {
-							return lap.ShouldAttachUnderLoad(mspec.Model, active+1, remaining, e.n.Active+1, spec.CanParallel())
+			// No live local build at this level. On a shared bus the build
+			// may be live on another engine — in flight or sealed but not
+			// yet retired; attaching is sharing with that engine's group, so
+			// it passes the usual admission test with m counting the state's
+			// cluster-wide probers. The attach anchors a local foreign share
+			// the rest of this shard's burst then joins like any build group.
+			if e.opts.Bus != nil {
+				if st := e.scans.LookupBuildState(key); st != nil {
+					if m := st.Refs() + 1; e.admitSharedLocked(policy, opt.Model, m, spec.CanParallel()) {
+						d = decision{kind: "bus-share", opt: opt, m: m, src: buildSource{origin: foreign, state: st}}
+						d.z, d.speedup = e.buildBenefit(opt.Model, m)
+						if ok, err := e.commitLocked(spec, policy, h, cp, &d); ok || err != nil {
+							return err
 						}
-						return ap.ShouldAttach(mspec.Model, active+1, remaining)
-					}
-					if live && admit() {
-						z, sp := e.shareBenefit(core.AttachAdjusted(mspec.Model, active+1, remaining), active+1)
-						e.stampDecision(h, "attach", opt.Pivot, active+1, mspec.Model, z, sp)
-						attached, err := e.attachInflightLocked(g, mspec, h, cp)
-						if err != nil {
-							return nil, err
-						}
-						if attached {
-							emitDecision(h, "attach", fmt.Sprintf("inflight scan remaining=%.2f", remaining))
-							e.n.InflightAttaches++
-							e.n.PivotJoins[opt.Pivot]++
-							e.n.Active++
-							return h, nil
-						}
-						// The scan finished between the consult and the
-						// attach; fall through to a fresh group.
 					}
 				}
-			default:
-				g.mu.Lock()
-				started := g.started
-				m := g.size + 1
-				g.mu.Unlock()
-				if !started && e.admitSharedLocked(policy, mspec.Model, m, spec.CanParallel()) {
-					z, sp := e.shareBenefit(mspec.Model, m)
-					e.stampDecision(h, "share", opt.Pivot, m, mspec.Model, z, sp)
-					if err := e.attachLocked(g, mspec, h, cp); err != nil {
-						return nil, err
+			}
+			// Consult the keep-alive cache, under the same admission test as
+			// joining a size-2 group (attaching to retained work is sharing
+			// with the departed group that produced it). A hit anchors a
+			// cache-served group — the table is already sealed, the build
+			// subtree never runs, and this query registers as a late attach
+			// with zero build work — which the rest of the burst then joins
+			// like any build group.
+			if e.admitSharedLocked(policy, opt.Model, 2, spec.CanParallel()) {
+				if tbl, ok := e.lookupCachedTable(key, cp.epochs[j]); ok {
+					d = decision{kind: "cache-build", opt: opt, m: 2, src: buildSource{origin: retained, table: tbl}}
+					d.z, d.speedup = e.buildBenefit(opt.Model, 2)
+					if ok, err := e.commitLocked(spec, policy, h, cp, &d); ok || err != nil {
+						return err
 					}
-					emitDecision(h, "attach", "pivot group")
-					e.n.PivotJoins[opt.Pivot]++
-					e.n.Active++
-					return h, nil
 				}
 			}
 		}
@@ -743,80 +680,186 @@ func (e *Engine) SubmitFn(spec QuerySpec, policy SharePolicy, onDone func(*stora
 	// degree > 1 on a parallelizable plan runs partitioned clones instead of
 	// the serial pipeline. Parallel runs are never joinable — they are the
 	// unshared alternative the model weighs sharing against.
-	if d := e.parallelDegreeLocked(spec, policy); d > 1 {
-		e.stampDecision(h, "parallel", spec.Pivot, d, spec.Model, 0,
-			core.ParallelSpeedup(spec.Model, d, e.env))
-		if err := e.newParallelGroupLocked(spec, h, d, cp); err != nil {
-			return nil, err
-		}
-		emitDecision(h, "anchor", fmt.Sprintf("partitioned clones d=%d", d))
-		e.n.ParallelRuns++
-		e.n.ParallelClones += int64(d)
-		e.n.Active++
-		return h, nil
-	}
-	// Fresh group. When the spec offers several pivot levels, a
-	// pivot-selecting policy chooses where to anchor it — possibly at a
-	// build-side candidate, making the fresh group a pure build group;
-	// otherwise the declared pivot stands.
-	gspec := spec
-	anchorBuild := PivotOption{Pivot: -1}
-	if policy != nil && len(spec.Pivots) > 0 {
-		if pp, ok := policy.(PivotPolicy); ok {
-			opts := cp.opts
-			cands := make([]core.Query, len(opts))
-			for i := range opts {
+	d = decision{kind: "alone", opt: PivotOption{Pivot: spec.Pivot, Model: spec.Model}, m: 1, speedup: 1}
+	if n := e.parallelDegreeLocked(spec, policy); n > 1 {
+		d.kind, d.m, d.speedup = "parallel", n, core.ParallelSpeedup(spec.Model, n, e.env)
+	} else if policy != nil {
+		// A fresh group. When the spec offers several pivot levels, a
+		// pivot-selecting policy chooses where to anchor it — possibly at a
+		// build-side candidate, making the fresh group a pure build group;
+		// otherwise the declared pivot stands. An anchor runs alone until
+		// someone joins: predicted speedup 1, with the prospective margin
+		// for the next joiner recorded as Z.
+		d.kind = "anchor"
+		if pp, ok := policy.(PivotPolicy); ok && len(spec.Pivots) > 0 {
+			cands := make([]core.Query, len(cp.opts))
+			for i := range cp.opts {
 				cands[i] = cp.optModel(spec, i)
 			}
-			if i := pp.ChoosePivot(cands, e.n.Active+1); i >= 0 && i < len(opts) {
-				if opts[i].Build {
-					anchorBuild = opts[i]
-					anchorBuild.Model = cands[i]
-				} else {
-					gspec.Pivot = opts[i].Pivot
-					gspec.Model = cands[i]
-				}
+			if i := pp.ChoosePivot(cands, e.n.Active+1); i >= 0 && i < len(cp.opts) {
+				d.opt = cp.opts[i]
+				d.opt.Model = cands[i]
 			}
 		}
-	}
-	if anchorBuild.Pivot >= 0 {
-		// An anchor runs alone until someone joins: predicted speedup 1, with
-		// the prospective margin for the next joiner recorded as Z.
-		z, _ := e.buildBenefit(anchorBuild.Model, 2)
-		e.stampDecision(h, "anchor", anchorBuild.Pivot, 1, anchorBuild.Model, z, 1)
-		g, err := e.newBuildGroupLocked(gspec, anchorBuild, h, cp)
-		if err != nil {
-			return nil, err
+		if d.opt.Build {
+			d.z, _ = e.buildBenefit(d.opt.Model, 2)
+		} else {
+			d.z, _ = e.shareBenefit(d.opt.Model, 2)
 		}
-		g.trace = h.trace
-		emitDecision(h, "anchor", "build group")
-		e.joinable[g.key] = g
-		e.n.Active++
-		return h, nil
 	}
-	if policy != nil {
-		z, _ := e.shareBenefit(gspec.Model, 2)
-		e.stampDecision(h, "anchor", gspec.Pivot, 1, gspec.Model, z, 1)
-	} else {
-		e.stampDecision(h, "alone", gspec.Pivot, 1, gspec.Model, 0, 1)
+	_, err := e.commitLocked(spec, policy, h, cp, &d)
+	return err
+}
+
+// joinDecisionLocked prices joining the local group g at candidate opt and
+// reports whether the policy admits it, filling d when it does. The group's
+// shape sets the test: a build share admits at any time, an in-flight scan
+// while it still has a live cursor, a fan-out group only before its pivot
+// emits. Caller holds e.mu.
+func (e *Engine) joinDecisionLocked(d *decision, g *shareGroup, spec QuerySpec, policy SharePolicy, opt PivotOption) bool {
+	switch {
+	case opt.Build:
+		// The joinable entry is a shared hash build (pure or published by a
+		// mixed group); members attach to the table — before or after it
+		// seals — and run everything outside the build subtree privately.
+		g.mu.Lock()
+		m := g.size + 1
+		g.mu.Unlock()
+		if !e.admitSharedLocked(policy, opt.Model, m, spec.CanParallel()) {
+			return false
+		}
+		*d = decision{kind: "build-share", opt: opt, m: m, join: g}
+		d.z, d.speedup = e.buildBenefit(opt.Model, m)
+	case g.inflight != nil:
+		// Members attach to the circular scan at its current cursor, whether
+		// or not the pivot has emitted. g.firstError guards the window
+		// between a member failing and its abort closing the scan: an
+		// arrival there must not inherit the doomed group's error.
+		ap, ok := policy.(AttachPolicy)
+		if !ok || g.firstError() != nil {
+			return false
+		}
+		remaining, active, live := g.inflight.scan.Remaining()
+		if !live {
+			return false
+		}
+		m := active + 1
+		if lap, ok := policy.(LoadAwarePolicy); ok {
+			if !lap.ShouldAttachUnderLoad(opt.Model, m, remaining, e.n.Active+1, spec.CanParallel()) {
+				return false
+			}
+		} else if !ap.ShouldAttach(opt.Model, m, remaining) {
+			return false
+		}
+		*d = decision{kind: "attach", opt: opt, m: m, join: g, remaining: remaining}
+		d.z, d.speedup = e.shareBenefit(core.AttachAdjusted(opt.Model, m, remaining), m)
+	default:
+		g.mu.Lock()
+		started := g.started
+		m := g.size + 1
+		g.mu.Unlock()
+		if started || !e.admitSharedLocked(policy, opt.Model, m, spec.CanParallel()) {
+			return false
+		}
+		*d = decision{kind: "share", opt: opt, m: m, join: g}
+		d.z, d.speedup = e.shareBenefit(opt.Model, m)
 	}
-	g, err := e.newGroupLocked(gspec, h, policy, cp)
+	return true
+}
+
+// commitLocked is the one tail every decision runs: stamp the record before
+// anything spawns, attach the query to d.join or construct its group,
+// register a new group as joinable, count the decision, and emit its trace
+// events. It returns false, having committed nothing, when the table
+// or scan d found retired before the attach; the caller then resolves the
+// next candidate (a failed attach spawns nothing, so restamping is safe).
+// Caller holds e.mu.
+func (e *Engine) commitLocked(spec QuerySpec, policy SharePolicy, h *Handle, cp *Compiled, d *decision) (bool, error) {
+	e.stampDecision(h, d.kind, d.opt.Pivot, d.m, d.opt.Model, d.z, d.speedup)
+	// The query's view of the spec at the decision's level: the private
+	// chain starts above the pivot and the model carries the coefficients
+	// compiled there.
+	mspec := spec
+	mspec.Pivot, mspec.Model = d.opt.Pivot, d.opt.Model
+	var g *shareGroup // a group this decision constructs
+	var err error
+	switch {
+	case d.res != nil:
+		e.serveResult(h, d.res)
+	case d.join != nil:
+		ok, err := e.attachLocked(d.join, mspec, h, cp, d.opt.Build)
+		if !ok || err != nil {
+			return false, err
+		}
+	case d.kind == "parallel":
+		err = e.newParallelGroupLocked(spec, h, d.m, cp)
+	case d.opt.Build:
+		if g, err = e.newBuildGroupLocked(spec, d.opt, h, cp, d.src); g == nil && err == nil {
+			return false, nil
+		}
+	default:
+		g, err = e.newGroupLocked(mspec, h, policy, cp)
+	}
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	g.trace = h.trace
-	if policy != nil {
-		emitDecision(h, "anchor", "pivot group")
+	if g != nil && policy != nil {
 		e.joinable[g.key] = g
 		if g.build != nil {
 			// A mixed group is additionally joinable at its build subtree.
 			e.joinable[g.buildKey] = g
 		}
-	} else {
-		emitDecision(h, "anchor", "unshared run")
 	}
-	e.n.Active++
-	return h, nil
+	// The decision's anchor/attach trace event and its counters, one case
+	// per kind. A cache-served result completes off the engine and counts
+	// only when served.
+	var role, detail string
+	switch d.kind {
+	case "cache-result":
+		role, detail = "serve", "cached result run"
+	case "bus-share":
+		role, detail = "attach", "bus build state"
+		e.n.BuildJoins++
+		e.n.BusJoins++
+		e.n.PivotJoins[d.opt.Pivot]++
+	case "cache-build":
+		role, detail = "anchor", "cache-served build"
+		e.n.BuildJoins++
+		e.n.PivotJoins[d.opt.Pivot]++
+	case "build-share":
+		role, detail = "attach", "shared hash build"
+		e.n.BuildJoins++
+		e.n.PivotJoins[d.opt.Pivot]++
+	case "attach":
+		role, detail = "attach", fmt.Sprintf("inflight scan remaining=%.2f", d.remaining)
+		e.n.InflightAttaches++
+		e.n.PivotJoins[d.opt.Pivot]++
+	case "share":
+		role, detail = "attach", "pivot group"
+		e.n.PivotJoins[d.opt.Pivot]++
+	case "parallel":
+		role, detail = "anchor", fmt.Sprintf("partitioned clones d=%d", d.m)
+		e.n.ParallelRuns++
+		e.n.ParallelClones += int64(d.m)
+	case "alone":
+		role, detail = "anchor", "unshared run"
+	case "anchor":
+		role, detail = "anchor", "pivot group"
+		if d.opt.Build {
+			detail = "build group"
+		}
+		if g.build != nil && g.build.origin == retained {
+			// A mixed group whose split join is served from the cache: the
+			// anchor attaches late to the retained build, which no one runs.
+			e.n.BuildJoins++
+			e.n.PivotJoins[g.build.pivot]++
+		}
+	}
+	if d.kind != "cache-result" {
+		e.n.Active++
+	}
+	emitDecision(h, role, detail)
+	return true, nil
 }
 
 // admitSharedLocked runs the submission-time admission test shared by every
@@ -864,14 +907,15 @@ func (e *Engine) parallelDegreeLocked(spec QuerySpec, policy SharePolicy) int {
 // machinery. When the shared subtree contains a join with split Build/Probe
 // forms declared as a build candidate, the join runs split and the group
 // additionally publishes its hash table under the build key (a mixed
-// group) — served from the keep-alive cache when the policy admits retained
-// work and a fingerprint-matching table is live at the current epoch.
+// group) — a retained table, served from the keep-alive cache, when the
+// policy admits retained work and a fingerprint-matching table is live at
+// the current epoch.
 func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, cp *Compiled) (*shareGroup, error) {
 	joinable := policy != nil
 	if e.opts.InflightSharing && joinable && spec.Nodes[spec.Pivot].Scan != nil {
 		return e.newInflightGroupLocked(spec, h, cp)
 	}
-	g := &shareGroup{signature: spec.Signature, key: cp.shareKeyAt(spec.Pivot), spec: spec, size: 1}
+	g := &shareGroup{signature: spec.Signature, key: cp.shareKeyAt(spec.Pivot), spec: spec, trace: h.trace}
 	pivotOut := &outbox{fanOut: e.opts.FanOut}
 	pivotOut.onFirstEmit = func() { e.sealGroup(g) }
 	g.pivot = pivotOut
@@ -880,7 +924,6 @@ func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, c
 		// see subplan outlets next to circular and partitioned scans, and
 		// the outlet retires when the pivot's output stream ends.
 		g.outlet = e.scans.PublishOutlet(g.key)
-		g.outlet.Attach()
 		outlet := g.outlet
 		pivotOut.onClosed = func() {
 			outlet.Retire()
@@ -894,43 +937,24 @@ func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, c
 
 	// A shareable build side inside the shared subtree: run the join split
 	// and publish the table so different-shaped queries can still amortize
-	// the build even when they cannot match the anchor level. When the
-	// keep-alive cache retains a fingerprint-matching table at the current
-	// epoch, the group's own build is served from it instead: the share
-	// starts sealed, cachedBuild masks the build-subtree nodes that never
-	// spawn, and the anchor registers as a late attach with zero build work.
+	// the build even when they cannot match the anchor level. A retained
+	// table starts the share sealed, and retainedBuild masks the
+	// build-subtree nodes that then never spawn.
 	splitJoin := -1
 	var bs *buildShare
-	var cachedBuild []bool
+	var retainedBuild []bool
 	if joinable {
 		if opt, joinIdx, ok := buildOptionWithin(spec, spec.Pivot); ok {
 			splitJoin = joinIdx
-			var epoch uint64
-			var tbl *relop.HashTable
-			hit := false
-			if e.cache != nil {
-				epoch = cp.epochAtNode(opt.Pivot)
-				if e.admitSharedLocked(policy, opt.Model, 2, spec.CanParallel()) {
-					tbl, hit = e.lookupCachedTable(cp.buildKeyAt(opt.Pivot), epoch)
+			key := cp.buildKeyAt(opt.Pivot)
+			var src buildSource
+			if e.cache != nil && e.admitSharedLocked(policy, opt.Model, 2, spec.CanParallel()) {
+				if tbl, hit := e.lookupCachedTable(key, cp.epochAtNode(opt.Pivot)); hit {
+					src = buildSource{origin: retained, table: tbl}
+					retainedBuild = spec.SubtreeMask(opt.Pivot)
 				}
 			}
-			bs = e.newBuildShareLocked(g, cp.buildKeyAt(opt.Pivot), opt, epoch)
-			if hit {
-				bs.sealCached(tbl)
-				cachedBuild = spec.SubtreeMask(opt.Pivot)
-				e.n.BuildJoins++
-				e.n.PivotJoins[opt.Pivot]++
-			}
-			// A member failure poisons the whole group (its error reaches
-			// every sink), so stop recruiting into it on either key: retire
-			// the build state and seal the group. Without this a mixed
-			// group's sealed, still-referenced state would keep admitting
-			// fingerprint-matching queries into the stale failure — and a
-			// wedged dead chain would make it unsweepable too.
-			g.onFail = func() {
-				bs.failShare()
-				e.sealGroup(g)
-			}
+			bs = e.newBuildShareLocked(g, key, opt, cp, src)
 		}
 	}
 	// A construction error below must not strand the published build state:
@@ -942,20 +966,56 @@ func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, c
 		}
 	}()
 
-	// Fuse the shared part into segments; each segment's boundary (its tail
-	// node) gets the outbox — the pivot's fan-out for the pivot segment, a
-	// single-consumer outbox over one queue otherwise. Interior nodes of a
-	// fused segment have no queue at all.
+	// Wire the first member's private part before spawning anything so the
+	// pivot has a consumer from the start.
+	if _, err := e.attachLocked(g, spec, h, cp, false); err != nil {
+		return nil, err
+	}
 	mask := spec.SubtreeMask(spec.Pivot)
 	include := func(i int) bool {
-		return mask[i] && !(cachedBuild != nil && cachedBuild[i])
+		return mask[i] && !(retainedBuild != nil && retainedBuild[i])
 	}
+	if err := e.spawnShared(g, spec, include, pivotOut, splitJoin); err != nil {
+		return nil, err
+	}
+	built = true
+	return g, nil
+}
+
+// collectorTask builds the task that drains the split join nd's build input
+// from in into the group's shared table and seals it.
+func (e *Engine) collectorTask(g *shareGroup, nd NodeSpec, in *PageQueue) (pendingSpawn, error) {
+	jb, err := nd.Build()
+	if err != nil {
+		return pendingSpawn{}, err
+	}
+	c := &buildCollectorTask{name: nd.Name + "/build", jb: jb, in: in, bs: g.build, clock: e.clock, fail: g.fail}
+	return pendingSpawn{c.name, c.step}, nil
+}
+
+// pendingSpawn is a task built but not yet spawned: group construction
+// builds every task first, so an error part-way leaves none running.
+type pendingSpawn struct {
+	name string
+	step func(*Task) Status
+}
+
+// spawnShared instantiates and spawns a group's shared part: the nodes
+// include selects, fused into segments. Each segment's tail feeds pivotOut
+// when it is the group's pivot, or else a fresh queue its consumer reads. The
+// join at splitJoin (-1 = none) runs split over the group's build share: a
+// collector builds the table from the join's build input (unless the table
+// is retained), and when the join itself is shared — a mixed group — one
+// shared probe streams the group's probe side against the table, through the
+// segment's fused chain, into the fan-out. A pure build group's join lies
+// outside its shared part: each member probes privately.
+func (e *Engine) spawnShared(g *shareGroup, spec QuerySpec, include func(int) bool, pivotOut *outbox, splitJoin int) error {
 	runs, _ := fuseRuns(spec, include, e.fuseOK())
 	outs := make([]*outbox, len(spec.Nodes))
 	queues := make([]*PageQueue, len(spec.Nodes))
 	for _, r := range runs {
 		tl := r.tail()
-		if tl == spec.Pivot {
+		if tl == spec.Pivot && pivotOut != nil {
 			outs[tl] = pivotOut
 			continue
 		}
@@ -963,52 +1023,54 @@ func (e *Engine) newGroupLocked(spec QuerySpec, h *Handle, policy SharePolicy, c
 		queues[tl] = q
 		outs[tl] = &outbox{outs: []*PageQueue{q}}
 	}
-	// Wire the first member's private part before spawning anything so the
-	// pivot has a consumer from the start.
-	if err := e.attachChain(g, spec, h, cp); err != nil {
-		return nil, err
-	}
-	// Instantiate and spawn shared tasks, one per segment. Build-subtree
-	// nodes served from the cache never spawn — their work is the rebuild
-	// the retained table saves.
+	// Every task is built before any spawns, so an error part-way leaves
+	// none behind; the buffer keeps a plan's handful of tasks off the heap.
+	var buf [8]pendingSpawn
+	spawns := buf[:0]
+	bs := g.build
 	qOf := func(idx int) *PageQueue { return queues[idx] }
 	for _, r := range runs {
 		nd := spec.Nodes[r.head]
-		if nd.Join != nil && r.head == splitJoin {
-			// The split form: a collector builds the shared table once
-			// (skipped when the table came from the cache); one shared
-			// probe streams the group's probe side against it — through the
-			// segment's fused chain — into the usual fan-out. The group
-			// holds the probe's reference.
+		if r.head == splitJoin {
+			if bs.origin == builtHere {
+				c, err := e.collectorTask(g, nd, queues[nd.BuildInput])
+				if err != nil {
+					return err
+				}
+				spawns = append(spawns, c)
+			}
+			// The group holds the shared probe's prober reference.
 			if !bs.attachProber() {
-				return nil, fmt.Errorf("%w: fresh build state rejected attach", ErrBadSpec)
+				return fmt.Errorf("%w: fresh build state rejected attach", ErrBadSpec)
 			}
 			ob := outs[r.tail()]
 			pr, err := fusedProbeOp(spec.Nodes, nd, r, ob)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if cachedBuild == nil {
-				jb, err := nd.Build()
-				if err != nil {
-					return nil, err
-				}
-				collector := &buildCollectorTask{name: nd.Name + "/build", jb: jb, in: queues[nd.BuildInput], bs: bs, clock: e.clock, fail: g.fail}
-				e.sched.Spawn(collector.name, collector.step)
-			}
-			pname := fusedName(spec.Nodes, r)
-			prober := &probeAttachTask{name: pname, bs: bs, ready: bs.newWaiter(e.sched, nd.Name), probe: pr, in: queues[nd.ProbeInput], out: ob, clock: e.clock, fail: g.fail}
-			e.sched.Spawn(pname, prober.step)
+			prober := &probeAttachTask{name: fusedName(spec.Nodes, r), bs: bs, ready: bs.newWaiter(e.sched, nd.Name), probe: pr, in: queues[nd.ProbeInput], out: ob, clock: e.clock, fail: g.fail}
+			spawns = append(spawns, pendingSpawn{prober.name, prober.step})
 			continue
 		}
 		name, step, err := e.fusedTask(spec, r, qOf, outs[r.tail()], g.fail)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e.sched.Spawn(name, step)
+		spawns = append(spawns, pendingSpawn{name, step})
 	}
-	built = true
-	return g, nil
+	if splitJoin >= 0 && !include(splitJoin) {
+		// A pure build group: its collector consumes the shared part.
+		nd := spec.Nodes[splitJoin]
+		c, err := e.collectorTask(g, nd, queues[nd.BuildInput])
+		if err != nil {
+			return err
+		}
+		spawns = append(spawns, c)
+	}
+	for _, p := range spawns {
+		e.sched.Spawn(p.name, p.step)
+	}
+	return nil
 }
 
 // nodeTask instantiates the execution task for one plan node whose output
@@ -1042,59 +1104,93 @@ func (e *Engine) nodeTask(nd NodeSpec, qOf func(int) *PageQueue, ob *outbox, fai
 	}
 }
 
-// newBuildShareLocked publishes a build state for the subtree of spec rooted
-// at the candidate pivot and wires it to group g. The state's seal bumps the
-// engine's executed-build counter; a retired state (last prober released,
-// failure, or sweep) is pruned from the joinable map lazily — at the next
-// probe of its key or the next SweepExchange — so retirement never needs
-// e.mu. With a keep-alive cache the state's retire hand-off offers the
-// sealed table for retention: epoch is the source tables' invalidation
-// epoch the artifact was (or will be) built at, and opt.Model — compiled at
-// the build pivot — prices the rebuild a future hit would save. key is the
-// build-state share key of the subtree at opt.Pivot (already canonicalized
-// by the caller's compile artifact). Caller holds e.mu.
-func (e *Engine) newBuildShareLocked(g *shareGroup, key string, opt PivotOption, epoch uint64) *buildShare {
-	bs := &buildShare{key: key, pivot: opt.Pivot, state: e.scans.PublishBuildState(key), recycle: e.cache == nil}
-	bs.onSeal = func() {
-		e.mu.Lock()
-		e.n.HashBuilds++
-		e.mu.Unlock()
+// newBuildShareLocked creates group g's share of the hash table built from
+// the subtree of spec rooted at the build candidate opt, and wires it to g:
+// a member's failure fails the share and seals the group.
+// key is the build-state share key of that subtree. src says where the table
+// comes from:
+//
+//   - built here: publish a fresh state whose seal bumps the engine's
+//     executed-build counter;
+//   - retained: publish a state that starts sealed on the cached table;
+//   - foreign: wrap the other engine's state, publishing nothing.
+//
+// An owned state (built here or retained) is pruned from the joinable map
+// lazily once retired — at the next probe of its key or the next
+// SweepExchange — so retirement never needs e.mu. With a keep-alive cache its
+// retire hand-off offers the sealed table for retention, at the source
+// tables' epoch the artifact was (or will be) built at and priced by
+// opt.Model — compiled at the build pivot — as the rebuild a future hit
+// would save. Caller holds e.mu.
+func (e *Engine) newBuildShareLocked(g *shareGroup, key string, opt PivotOption, cp *Compiled, src buildSource) *buildShare {
+	bs := &buildShare{key: key, pivot: opt.Pivot, origin: src.origin, state: src.state}
+	g.build = bs
+	g.buildKey = key
+	// A member failure poisons the whole group (its error reaches every
+	// sink), so stop recruiting into it on either key: fail the share and
+	// seal the group. Without this a mixed group's sealed, still-referenced
+	// state would keep admitting fingerprint-matching queries into the stale
+	// failure — and a wedged dead chain would make it unsweepable too.
+	g.onFail = func() {
+		bs.failShare()
+		e.sealGroup(g)
+	}
+	if src.origin == foreign {
+		return bs
+	}
+	bs.state = e.scans.PublishBuildState(key)
+	bs.recycle = e.cache == nil
+	if src.origin == builtHere {
+		bs.onSeal = func() {
+			e.mu.Lock()
+			e.n.HashBuilds++
+			e.mu.Unlock()
+		}
 	}
 	if e.cache != nil {
-		cache, model := e.cache, opt.Model
+		cache, model, epoch := e.cache, opt.Model, cp.epochAtNode(opt.Pivot)
 		bs.state.SetHandoff(func(v any) {
 			if tbl, ok := v.(*relop.HashTable); ok {
 				cache.Put(key, tbl, tbl.FootprintBytes(), model, epoch)
 			}
 		})
 	}
-	g.build = bs
-	g.buildKey = key
+	if src.origin == retained {
+		bs.seal(src.table)
+	}
 	return bs
 }
 
-// newBuildGroupLocked instantiates a pure build group anchored at a
-// build-side pivot candidate: the shared part is the build subtree plus the
-// collector that seals the hash table; every member — the anchor included —
-// attaches a private probe phase to the table and runs everything outside
-// the build subtree itself. The group stays joinable until the last prober
-// releases the table (or the build fails, or the sweep retires a wedged
-// build). Caller holds e.mu.
-func (e *Engine) newBuildGroupLocked(spec QuerySpec, opt PivotOption, h *Handle, cp *Compiled) (*shareGroup, error) {
+// newBuildGroupLocked instantiates a pure build group anchored at the
+// build-side pivot candidate opt: every member — the anchor included —
+// attaches a private probe phase to the group's one hash table and runs
+// everything outside the build subtree itself. src says where the table
+// comes from (see buildOrigin):
+//
+//   - built here: the shared part is the build subtree plus the collector
+//     that seals the table, spawned once the anchor is wired;
+//   - retained: the table was served from the keep-alive cache, so the
+//     share starts sealed, nothing is built, and the anchor probes the
+//     table at once; when its last prober releases, the hand-off re-offers
+//     the table to the cache with its original epoch;
+//   - foreign: another shard's state on the bus; the anchor parks until the
+//     owner seals, and a local failure never retires the owner's state. A
+//     state that retired between the caller's lookup and the attach returns
+//     (nil, nil), and the caller falls through to its remaining candidates.
+//
+// The group stays joinable until the last prober releases the table (or the
+// build fails, or the sweep retires a wedged build). Caller holds e.mu.
+func (e *Engine) newBuildGroupLocked(spec QuerySpec, opt PivotOption, h *Handle, cp *Compiled, src buildSource) (*shareGroup, error) {
 	gspec := spec
 	gspec.Pivot = opt.Pivot
 	gspec.Model = opt.Model
-	g := &shareGroup{signature: spec.Signature, spec: gspec, size: 1}
-	bs := e.newBuildShareLocked(g, cp.buildKeyAt(opt.Pivot), opt, cp.epochAtNode(opt.Pivot))
+	g := &shareGroup{signature: spec.Signature, spec: gspec, trace: h.trace}
+	bs := e.newBuildShareLocked(g, cp.buildKeyAt(opt.Pivot), opt, cp, src)
 	g.key = g.buildKey
-	g.onFail = func() {
-		bs.failShare()
-		e.sealGroup(g)
-	}
 
-	// A construction error below must not strand the published state (or a
-	// half-wired first member): abort so waiters fail fast and the exchange
-	// entry retires.
+	// A construction error below must not strand the state (or a half-wired
+	// first member): fail the share so waiters wake into the failure path
+	// and an owned exchange entry retires.
 	built := false
 	defer func() {
 		if !built {
@@ -1102,77 +1198,43 @@ func (e *Engine) newBuildGroupLocked(spec QuerySpec, opt PivotOption, h *Handle,
 		}
 	}()
 
-	// First member (probe side and above), wired before the build spawns.
-	if !bs.attachProber() {
+	// The anchor (probe side and above), wired before any build task spawns.
+	attached, err := e.attachLocked(g, gspec, h, cp, true)
+	if err != nil {
+		return nil, err
+	}
+	if !attached {
+		if src.origin == foreign {
+			return nil, nil
+		}
 		return nil, fmt.Errorf("%w: fresh build state rejected attach", ErrBadSpec)
 	}
-	_, start, err := e.buildMember(g, gspec, h, bs, cp)
-	if err != nil {
-		bs.releaseProber()
-		return nil, err
-	}
-	start()
 
-	// Shared part: the build subtree feeding the collector, fused into
-	// segments. The subtree root (the build pivot) always ends a segment —
-	// its consumer is the collector, a task boundary — so queues[opt.Pivot]
-	// exists whether or not fusion collapsed the nodes below it.
-	mask := gspec.SubtreeMask(opt.Pivot)
-	joinIdx := gspec.pivotConsumer(opt.Pivot)
-	jb, err := gspec.Nodes[joinIdx].Build()
-	if err != nil {
-		return nil, err
-	}
-	include := func(i int) bool { return mask[i] }
-	runs, _ := fuseRuns(gspec, include, e.fuseOK())
-	outs := make([]*outbox, len(gspec.Nodes))
-	queues := make([]*PageQueue, len(gspec.Nodes))
-	for _, r := range runs {
-		tl := r.tail()
-		q := NewPageQueue(e.sched, gspec.Nodes[tl].Name, e.opts.QueueCap)
-		queues[tl] = q
-		outs[tl] = &outbox{outs: []*PageQueue{q}}
-	}
-	type pendingSpawn struct {
-		name string
-		step func(*Task) Status
-	}
-	var spawns []pendingSpawn
-	qOf := func(idx int) *PageQueue { return queues[idx] }
-	for _, r := range runs {
-		name, step, err := e.fusedTask(gspec, r, qOf, outs[r.tail()], g.fail)
-		if err != nil {
+	switch src.origin {
+	case foreign:
+		// Subscribe after the attach: the prober reference pins the state,
+		// so the subscription always resolves — immediately when the owner
+		// has already sealed, at the owner's seal otherwise, and with
+		// sealed=false if the owner's build fails (waking local waiters into
+		// the failure path).
+		src.state.Subscribe(func(v any, sealed bool) {
+			if tbl, ok := v.(*relop.HashTable); ok && sealed {
+				bs.seal(tbl)
+				return
+			}
+			bs.failShare()
+		})
+	case builtHere:
+		// The shared part: the build subtree, fused into segments, feeding
+		// the collector that builds and seals the table.
+		mask := gspec.SubtreeMask(opt.Pivot)
+		include := func(i int) bool { return mask[i] }
+		if err := e.spawnShared(g, gspec, include, nil, gspec.pivotConsumer(opt.Pivot)); err != nil {
 			return nil, err
 		}
-		spawns = append(spawns, pendingSpawn{name, step})
 	}
-	collector := &buildCollectorTask{name: gspec.Nodes[joinIdx].Name + "/build", jb: jb, in: queues[opt.Pivot], bs: bs, clock: e.clock, fail: g.fail}
-	for _, p := range spawns {
-		e.sched.Spawn(p.name, p.step)
-	}
-	e.sched.Spawn(collector.name, collector.step)
 	built = true
 	return g, nil
-}
-
-// attachBuildLocked adds a member to a group's shared hash build. It returns
-// false (without error) when the table retired concurrently — the caller
-// then proceeds to other candidates or a fresh group. Caller holds e.mu.
-func (e *Engine) attachBuildLocked(g *shareGroup, spec QuerySpec, h *Handle, cp *Compiled) (bool, error) {
-	bs := g.build
-	if !bs.attachProber() {
-		return false, nil
-	}
-	_, start, err := e.buildMember(g, spec, h, bs, cp)
-	if err != nil {
-		bs.releaseProber()
-		return false, err
-	}
-	g.mu.Lock()
-	g.size++
-	g.mu.Unlock()
-	start()
-	return true, nil
 }
 
 // newInflightGroupLocked instantiates a group whose pivot is a declared
@@ -1180,7 +1242,7 @@ func (e *Engine) attachBuildLocked(g *shareGroup, spec QuerySpec, h *Handle, cp 
 // group; it stays joinable until the scan's last consumer completes. Caller
 // holds e.mu.
 func (e *Engine) newInflightGroupLocked(spec QuerySpec, h *Handle, cp *Compiled) (*shareGroup, error) {
-	g := &shareGroup{signature: spec.Signature, key: cp.shareKeyAt(spec.Pivot), spec: spec, size: 1}
+	g := &shareGroup{signature: spec.Signature, key: cp.shareKeyAt(spec.Pivot), spec: spec, trace: h.trace}
 	nd := spec.Nodes[spec.Pivot]
 	src, err := nd.Scan.newSource()
 	if err != nil {
@@ -1200,66 +1262,61 @@ func (e *Engine) newInflightGroupLocked(spec QuerySpec, h *Handle, cp *Compiled)
 
 	// Wire the first member's chain before spawning the scan task so the
 	// pivot has a consumer from the start.
-	in, start, err := e.buildMember(g, spec, h, nil, cp)
+	attached, err := e.attachLocked(g, spec, h, cp, false)
 	if err != nil {
 		return nil, err
 	}
-	if !fs.attach(in) {
+	if !attached {
 		// Unreachable: a freshly published scan cannot be closed.
 		return nil, fmt.Errorf("%w: fresh circular scan rejected attach", ErrBadSpec)
 	}
-	start()
 	e.sched.Spawn(nd.Name, fs.step)
 	return g, nil
 }
 
-// attachLocked adds a member to an existing, not-yet-started group. Caller
-// holds e.mu; group non-started status is stable because sealGroup also
-// takes e.mu.
-func (e *Engine) attachLocked(g *shareGroup, spec QuerySpec, h *Handle, cp *Compiled) error {
-	if err := e.attachChain(g, spec, h, cp); err != nil {
-		return err
+// attachLocked adds one member to g — the anchor of a group under
+// construction, or a joiner — wiring its private part to the group's shared
+// side and then starting it. build selects the group's shared hash build
+// (a mixed group offers a page stream too): the member probes the table
+// privately. Otherwise the member's chain is fed by the group's in-flight
+// circular scan, from its current cursor, or by its pivot fan-out, which the
+// caller has found unstarted (sealGroup also takes e.mu, so that holds). It
+// returns false, having started nothing, when the table retired or the scan
+// finished since the caller found the group. Caller holds e.mu.
+func (e *Engine) attachLocked(g *shareGroup, spec QuerySpec, h *Handle, cp *Compiled, build bool) (bool, error) {
+	var bs *buildShare
+	if build {
+		bs = g.build
+		if !bs.attachProber() {
+			return false, nil
+		}
 	}
-	g.mu.Lock()
-	g.size++
-	g.mu.Unlock()
-	if g.outlet != nil {
-		g.outlet.Attach()
-	}
-	return nil
-}
-
-// attachInflightLocked adds a member to a group whose scan is in progress.
-// It returns false (without error) when the scan completed concurrently —
-// the caller then starts a fresh group for the query. Caller holds e.mu.
-func (e *Engine) attachInflightLocked(g *shareGroup, spec QuerySpec, h *Handle, cp *Compiled) (bool, error) {
-	in, start, err := e.buildMember(g, spec, h, nil, cp)
+	in, start, err := e.buildMember(g, spec, h, bs, cp)
 	if err != nil {
+		if bs != nil {
+			bs.releaseProber()
+		}
 		return false, err
 	}
-	if !g.inflight.attach(in) {
-		// Nothing was spawned yet; the unstarted chain is garbage collected.
-		return false, nil
+	switch {
+	case bs != nil:
+	case g.inflight != nil:
+		if !g.inflight.attach(in) {
+			// Nothing was spawned yet; the unstarted chain is garbage
+			// collected.
+			return false, nil
+		}
+	default:
+		g.pivot.attach(in)
+		if g.outlet != nil {
+			g.outlet.Attach()
+		}
 	}
 	g.mu.Lock()
 	g.size++
 	g.mu.Unlock()
 	start()
 	return true, nil
-}
-
-// attachChain wires one member's private part (every node outside the
-// pivot's subtree, plus the sink) to the group's pivot outbox.
-func (e *Engine) attachChain(g *shareGroup, spec QuerySpec, h *Handle, cp *Compiled) error {
-	in, start, err := e.buildMember(g, spec, h, nil, cp)
-	if err != nil {
-		return err
-	}
-	// The pivot gains its consumer before any task that could feed it runs
-	// (for new groups) or while the group is provably unstarted (joins).
-	g.pivot.attach(in)
-	start()
-	return nil
 }
 
 // buildMember constructs one member's private part — every node outside the
@@ -1283,10 +1340,6 @@ func (e *Engine) buildMember(g *shareGroup, spec QuerySpec, h *Handle, bs *build
 		head = NewPageQueue(e.sched, spec.Signature+"/pivot-out", e.opts.QueueCap)
 	}
 	rootIdx := len(spec.Nodes) - 1
-	type pendingSpawn struct {
-		name string
-		step func(*Task) Status
-	}
 	var spawns []pendingSpawn
 	sinkIn := head
 	if spec.Pivot != rootIdx {
@@ -1367,29 +1420,39 @@ func (e *Engine) newSinkTask(g *shareGroup, h *Handle, in *PageQueue, schema sto
 			// artifact: offer it to the keep-alive cache (no-op without one).
 			e.captureResult(h, res)
 		}
-		h.mu.Lock()
-		h.result = res
-		h.err = err
-		h.completed = time.Now()
-		wall := h.completed.Sub(h.submitted)
-		h.mu.Unlock()
 		g.mu.Lock()
 		finalSize := g.size
 		g.mu.Unlock()
-		e.observeCompletion(h, err, finalSize, wall)
-		e.mu.Lock()
-		e.n.Completed++
+		e.resolve(h, res, err, finalSize, true)
+	}
+	return sink
+}
+
+// resolve completes h with its result: it records the result, closes out
+// the query's telemetry at final group size m, counts the completion — and,
+// for a query counted in Active (active), its departure — and runs the
+// completion callback.
+func (e *Engine) resolve(h *Handle, res *storage.Batch, err error, m int, active bool) {
+	h.mu.Lock()
+	h.result = res
+	h.err = err
+	h.completed = time.Now()
+	wall := h.completed.Sub(h.submitted)
+	h.mu.Unlock()
+	e.observeCompletion(h, err, m, wall)
+	e.mu.Lock()
+	e.n.Completed++
+	if active {
 		e.n.Active--
 		if e.n.Active == 0 && e.drained != nil {
 			close(e.drained)
 		}
-		e.mu.Unlock()
-		close(h.done)
-		if h.onDone != nil {
-			h.onDone(res, err)
-		}
 	}
-	return sink
+	e.mu.Unlock()
+	close(h.done)
+	if h.onDone != nil {
+		h.onDone(res, err)
+	}
 }
 
 // sealGroup marks a group started and un-joinable. For submission-time

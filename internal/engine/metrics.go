@@ -16,13 +16,13 @@ func registerSchedMetrics(r *obs.Registry, s *Scheduler, labels obs.Labels) {
 	r.GaugeFunc("cordoba_pagequeue_buffered_pages", "Pages buffered across every inter-operator queue.", labels, func() float64 { return float64(s.QueuedPages()) })
 }
 
-// registerMetrics registers the engine's own series, everything but its
-// worker pool's: engine core, compile cache, work exchange, keep-alive
-// cache, tracer, and the model-accuracy audit, all as closures over state
-// the engine already maintains, so scraping samples and the hot paths pay
-// nothing. Each engine-counter series reads its value from a Counters
-// snapshot. labels (a shard id) are attached to every series so several
-// engines can share one registry.
+// registerMetrics registers the engine's own series, everything but what
+// the cluster's shards share (worker pool, work exchange, keep-alive cache):
+// engine core, compile cache, tracer, and the model-accuracy audit, all as
+// closures over state the engine already maintains, so scraping samples and
+// the hot paths pay nothing. Each engine-counter series reads its value from
+// a Counters snapshot. labels (a shard id) are attached to every series so
+// several engines can share one registry.
 func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	cf := func(name, help string, fn func() int64) {
 		r.CounterFunc(name, help, labels, func() float64 { return float64(fn()) })
@@ -52,23 +52,6 @@ func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 	cf("cordoba_compile_hits_total", "Submissions served by a memoized compile artifact.", func() int64 { return e.Counters().CompileHits })
 	cf("cordoba_compile_misses_total", "Submissions that compiled fresh.", func() int64 { return e.Counters().CompileMisses })
 
-	// Work exchange (queue-depth style gauges over the shared-artifact
-	// registry).
-	gf("cordoba_exchange_entries", "Live work-exchange entries of every kind.", func() float64 { return float64(e.scans.Entries()) })
-	gf("cordoba_exchange_circular_scans", "Circular scans in flight.", func() float64 { return float64(e.scans.InFlight()) })
-	gf("cordoba_exchange_build_states", "Shared hash-build states in flight.", func() float64 { return float64(e.scans.BuildStatesInFlight()) })
-	gf("cordoba_exchange_orphans", "Entries with no live consumer awaiting sweep.", func() float64 { return float64(e.scans.Orphans()) })
-	cf("cordoba_exchange_supersedes_total", "Entries superseded by a fresh publish.", e.scans.SupersedeCount)
-	cf("cordoba_exchange_sweep_reclaims_total", "Entries force-retired by the sweep.", e.scans.SweepReclaims)
-
-	// Keep-alive artifact cache.
-	cf("cordoba_cache_hits_total", "Lookups served from a retained artifact.", func() int64 { return e.Counters().Cache.Hits })
-	cf("cordoba_cache_misses_total", "Lookups that found nothing usable.", func() int64 { return e.Counters().Cache.Misses })
-	cf("cordoba_cache_evictions_total", "Retained artifacts dropped for memory pressure.", func() int64 { return e.Counters().Cache.Evictions })
-	cf("cordoba_cache_expirations_total", "Retained artifacts aged out by the TTL.", func() int64 { return e.Counters().Cache.Expirations })
-	gf("cordoba_cache_bytes", "Current retained footprint.", func() float64 { return float64(e.Counters().Cache.Bytes) })
-	gf("cordoba_cache_entries", "Currently retained artifacts.", func() float64 { return float64(e.Counters().Cache.Entries) })
-
 	// Lifecycle tracer occupancy.
 	gf("cordoba_trace_retained", "Query traces currently retained in the ring.", func() float64 { return float64(e.tracer.Len()) })
 
@@ -78,8 +61,10 @@ func (e *Engine) registerMetrics(r *obs.Registry, labels obs.Labels) {
 }
 
 // RegisterMetrics registers every shard's series — each under a shard="<i>"
-// label merged into labels when there is more than one shard — plus the
-// pool's scheduler series, once, and the cluster's own routing counters.
+// label merged into labels when there is more than one shard — plus, once,
+// the series of what the shards share: the pool's scheduler series, the work
+// exchange (the artifact bus on more than one shard), the keep-alive cache,
+// and the cluster's own routing counters.
 func (c *Cluster) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	for i, e := range c.shards {
 		l := labels
@@ -93,6 +78,24 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 		e.registerMetrics(r, l)
 	}
 	registerSchedMetrics(r, c.sched, labels)
+
+	// Work exchange (queue-depth style gauges over the shared-artifact
+	// registry) and keep-alive cache, read through shard 0: every shard
+	// shares them.
+	e := c.shards[0]
+	r.GaugeFunc("cordoba_exchange_entries", "Live work-exchange entries of every kind.", labels, func() float64 { return float64(e.scans.Entries()) })
+	r.GaugeFunc("cordoba_exchange_circular_scans", "Circular scans in flight.", labels, func() float64 { return float64(e.scans.InFlight()) })
+	r.GaugeFunc("cordoba_exchange_build_states", "Shared hash-build states in flight.", labels, func() float64 { return float64(e.scans.BuildStatesInFlight()) })
+	r.GaugeFunc("cordoba_exchange_orphans", "Entries with no live consumer awaiting sweep.", labels, func() float64 { return float64(e.scans.Orphans()) })
+	r.CounterFunc("cordoba_exchange_supersedes_total", "Entries superseded by a fresh publish.", labels, func() float64 { return float64(e.scans.SupersedeCount()) })
+	r.CounterFunc("cordoba_exchange_sweep_reclaims_total", "Entries force-retired by the sweep.", labels, func() float64 { return float64(e.scans.SweepReclaims()) })
+	r.CounterFunc("cordoba_cache_hits_total", "Lookups served from a retained artifact.", labels, func() float64 { return float64(e.Counters().Cache.Hits) })
+	r.CounterFunc("cordoba_cache_misses_total", "Lookups that found nothing usable.", labels, func() float64 { return float64(e.Counters().Cache.Misses) })
+	r.CounterFunc("cordoba_cache_evictions_total", "Retained artifacts dropped for memory pressure.", labels, func() float64 { return float64(e.Counters().Cache.Evictions) })
+	r.CounterFunc("cordoba_cache_expirations_total", "Retained artifacts aged out by the TTL.", labels, func() float64 { return float64(e.Counters().Cache.Expirations) })
+	r.GaugeFunc("cordoba_cache_bytes", "Current retained footprint.", labels, func() float64 { return float64(e.Counters().Cache.Bytes) })
+	r.GaugeFunc("cordoba_cache_entries", "Currently retained artifacts.", labels, func() float64 { return float64(e.Counters().Cache.Entries) })
+
 	r.CounterFunc("cordoba_cluster_scatters_total", "Plans executed scatter-gather.", labels, func() float64 { return float64(c.Counters().Scatters) })
 	r.CounterFunc("cordoba_cluster_routed_total", "Plans routed whole to a single shard.", labels, func() float64 { return float64(c.Counters().Routed) })
 	r.CounterFunc("cordoba_cluster_finished_total", "Cluster-level queries completed (scattered plans count once, at their gather).", labels, func() float64 { return float64(c.Counters().Finished) })

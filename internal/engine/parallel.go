@@ -109,11 +109,7 @@ func (e *Engine) newParallelGroupLocked(spec QuerySpec, h *Handle, d int, cp *Co
 
 	// Build all d clone pipelines before spawning anything, so a mid-build
 	// error leaves no orphaned tasks.
-	type pending struct {
-		name string
-		step func(*Task) Status
-	}
-	var spawns []pending
+	var spawns []pendingSpawn
 	for c := 0; c < d; c++ {
 		src, err := scanNode.Scan.newSource()
 		if err != nil {
@@ -154,7 +150,7 @@ func (e *Engine) newParallelGroupLocked(spec QuerySpec, h *Handle, d int, cp *Co
 			}
 			name := strings.Join(parts, "+")
 			body := &fusedSourceTask{name: name, src: psrc, chain: chain, out: pob, clock: e.clock, fail: g.fail}
-			spawns = append(spawns, pending{name, body.step})
+			spawns = append(spawns, pendingSpawn{name, body.step})
 			continue
 		}
 		scanOut := NewPageQueue(e.sched, scanNode.Name, e.opts.QueueCap)
@@ -165,7 +161,7 @@ func (e *Engine) newParallelGroupLocked(spec QuerySpec, h *Handle, d int, cp *Co
 			clock: e.clock,
 			fail:  g.fail,
 		}
-		spawns = append(spawns, pending{scanNode.Name, scanBody.step})
+		spawns = append(spawns, pendingSpawn{scanNode.Name, scanBody.step})
 		cur := scanOut
 		// Interior nodes run their plain (partition-safe) operator per clone.
 		for i := 1; i < len(spec.Nodes)-1; i++ {
@@ -177,7 +173,7 @@ func (e *Engine) newParallelGroupLocked(spec QuerySpec, h *Handle, d int, cp *Co
 				return err
 			}
 			body := &opTask{name: nd.Name, push: op.Push, finish: op.Finish, in: cur, out: ob, clock: e.clock, fail: g.fail}
-			spawns = append(spawns, pending{nd.Name, body.step})
+			spawns = append(spawns, pendingSpawn{nd.Name, body.step})
 			cur = q
 		}
 		// The root runs its Partial form, emitting into the shared fan-in.
@@ -187,7 +183,7 @@ func (e *Engine) newParallelGroupLocked(spec QuerySpec, h *Handle, d int, cp *Co
 			return err
 		}
 		body := &opTask{name: root.Name, push: pop.Push, finish: pop.Finish, in: cur, out: pob, clock: e.clock, fail: g.fail}
-		spawns = append(spawns, pending{root.Name, body.step})
+		spawns = append(spawns, pendingSpawn{root.Name, body.step})
 	}
 
 	ok = true

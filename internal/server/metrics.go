@@ -8,8 +8,9 @@ import (
 )
 
 // This file assembles the server's unified metrics registry: the cluster
-// (its shards labelled shard="<i>" when there are several, its one worker
-// pool once), the server's own admission-path counters, and the
+// (its shards labelled shard="<i>" when there are several; its one worker
+// pool, work exchange and cache once), the server's own admission-path
+// counters, and the
 // process-wide page pool, all exported in Prometheus text format by
 // MetricsHandler — the payload behind cordobad's -metrics endpoint.
 

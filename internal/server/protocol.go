@@ -120,8 +120,8 @@ type Stats struct {
 	// only).
 	BusJoins int64 `json:"bus_joins,omitempty"`
 	// Scatters/Routed count the cluster's routing decisions: plans executed
-	// scatter-gather across every shard versus routed whole to one shard
-	// (sharded servers only).
+	// scatter-gather across every shard versus routed whole to one shard (an
+	// unsharded server routes every plan whole).
 	Scatters int64 `json:"scatters,omitempty"`
 	Routed   int64 `json:"routed,omitempty"`
 	// Shards holds one counter row per engine shard when the server runs

@@ -541,10 +541,10 @@ func (s *Server) Stats() Stats {
 	if len(n.PivotJoins) > 0 {
 		st.PivotJoins = n.PivotJoins
 	}
+	st.Scatters, st.Routed = n.Scatters, n.Routed
 	if len(n.Shards) > 1 {
-		// Sharded: the routing counters and one row per shard, so a stats
-		// probe sees where the work actually landed.
-		st.Scatters, st.Routed = n.Scatters, n.Routed
+		// Sharded: one row per shard, so a stats probe sees where the work
+		// actually landed.
 		st.Shards = make([]ShardStats, len(n.Shards))
 		for i, r := range n.Shards {
 			st.Shards[i] = ShardStats{

@@ -158,10 +158,10 @@ func TestServerServesFamilies(t *testing.T) {
 	if st := resps["stats"]; st.Status != server.StatusOK || st.Stats == nil || st.Stats.Completed != int64(n) {
 		t.Fatalf("stats response: %+v", st)
 	}
-	// An unsharded server is a cluster of one, but its stats read as one
-	// engine's: no shard rows and no routing counters.
-	if st := resps["stats"].Stats; st.Shards != nil || st.Scatters != 0 || st.Routed != 0 || st.BusJoins != 0 {
-		t.Fatalf("unsharded stats carry cluster fields: %+v", st)
+	// An unsharded server is a cluster of one: no shard rows and no bus
+	// joins, every query routed whole and none scattered.
+	if st := resps["stats"].Stats; st.Shards != nil || st.Scatters != 0 || st.Routed != int64(n) || st.BusJoins != 0 {
+		t.Fatalf("unsharded stats: %+v, want no shard rows, no scatters or bus joins, and %d routed", st, n)
 	}
 	if resps["ping"].Status != server.StatusOK {
 		t.Fatalf("ping response: %+v", resps["ping"])
