@@ -16,7 +16,10 @@ import (
 //   - sealed hash-join build states: when a build state retires at its last
 //     release, the exchange's hand-off hook passes the sealed
 //     relop.HashTable here instead of dropping it, keyed by the build
-//     subtree's canonical fingerprint. A later arrival whose build candidate
+//     subtree's canonical fingerprint under the namespace of the table's
+//     form (a key-set table never serves a probe that reads build rows, see
+//     fingerprint.go), and charged its FootprintBytes: a Semi or Anti build
+//     retains its distinct keys only. A later arrival whose build candidate
 //     fingerprint-matches anchors a build group over the retained table
 //     (newBuildGroupLocked with a retained origin): the table is already
 //     sealed, the build subtree never runs, and the arrival registers as a

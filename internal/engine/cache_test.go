@@ -173,22 +173,75 @@ func TestBuildCacheEvictionUnderTightBudget(t *testing.T) {
 	}
 }
 
+// pairsOnly joins groups of at most two members and anchors fresh groups at
+// the declared pivot.
+type pairsOnly struct{}
+
+func (pairsOnly) ShouldJoin(_ core.Query, m int) bool { return m <= 2 }
+
 // A mixed group (anchored at the join with the build candidate inside its
-// shared subtree) also serves its build from the cache: the second burst's
-// fan-out group starts with a sealed table and spawns no build subtree.
+// shared subtree) also serves its build from the cache: it starts with a
+// sealed table and spawns no build subtree. The candidate loop consults the
+// cache before any fresh anchor, so the second burst reaches a mixed group
+// only once the build key's local group refuses a joiner: one variant
+// anchors a cache-served build group, a second joins it, and a third, which
+// the policy keeps out of a group of three and which matches nothing at
+// its join, anchors a fresh group there. That group's split join finds the
+// table retained.
 func TestMixedGroupServesBuildFromCache(t *testing.T) {
 	bt, pt := buildTables(t, 32, 64)
-	e, _ := cacheEngine(t, artifact.Config{BudgetBytes: 1 << 20, TTL: time.Minute}, Options{Workers: 2})
-	spec := semiSpec(bt, pt, "mx/a", relop.Cmp{Op: relop.Lt, L: relop.Col("pv"), R: relop.ConstInt{V: 32}})
-	// joinOnly has no ChoosePivot: both bursts anchor mixed groups at the
-	// declared join pivot.
-	wantRange(t, "burst 1", runOne(t, e, spec, joinOnly{}), 0, 32)
-	wantRange(t, "burst 2", runOne(t, e, spec, joinOnly{}), 0, 32)
-	if got := e.Counters().HashBuilds; got != 1 {
-		t.Errorf("HashBuilds = %d, want 1 (mixed group reused the cached table)", got)
+	c := artifact.New(artifact.Config{BudgetBytes: 1 << 20, TTL: time.Minute})
+	lt := func(v int64) relop.Pred { return relop.Cmp{Op: relop.Lt, L: relop.Col("pv"), R: relop.ConstInt{V: v}} }
+	specA := semiSpec(bt, pt, "mx/a", lt(32))
+	specB := semiSpec(bt, pt, "mx/b", lt(24))
+	specC := semiSpec(bt, pt, "mx/c", lt(16))
+
+	// Burst 1 builds the table and leaves it in the cache.
+	seed, err := New(Options{Workers: 2, Cache: c})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := e.Counters().Cache.Hits; got < 1 {
-		t.Errorf("CacheHits = %d, want at least 1", got)
+	wantRange(t, "burst 1", runOne(t, seed, specA, joinOnly{}), 0, 32)
+	seed.Close()
+	if s := c.Stats(); s.Entries != 1 {
+		t.Fatalf("cache entries after burst 1 = %d, want the table retained", s.Entries)
+	}
+
+	// Burst 2 forms its groups on a paused engine over the same cache.
+	e, err := New(Options{Workers: 2, Cache: c, StartPaused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var hs []*Handle
+	for i, s := range []struct {
+		spec QuerySpec
+		kind string
+	}{{specB, "cache-build"}, {specC, "build-share"}, {specA, "anchor"}} {
+		h, err := e.Submit(s.spec, pairsOnly{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Decision().Kind; got != s.kind {
+			t.Fatalf("burst 2 query %d: decision %q, want %q", i, got, s.kind)
+		}
+		hs = append(hs, h)
+	}
+	e.Start()
+	for i, hi := range []int64{24, 16, 32} {
+		res, err := waitWithin(t, hs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRange(t, "burst 2", res, 0, hi)
+	}
+	// The mixed anchor counts as a late attach to the retained build, as
+	// the cache-build anchor and the build-share joiner do.
+	if n := e.Counters(); n.HashBuilds != 0 || n.BuildJoins != 3 {
+		t.Errorf("burst 2: HashBuilds=%d BuildJoins=%d, want 0 builds and 3 attaches to the cached table", n.HashBuilds, n.BuildJoins)
+	}
+	if s := c.Stats(); s.Hits != 2 {
+		t.Errorf("cache hits = %d, want 2 (the cache-build anchor and the mixed group)", s.Hits)
 	}
 }
 

@@ -71,6 +71,9 @@ type Compiled struct {
 	opts   []PivotOption
 	keys   []string
 	epochs []uint64
+	// buildKeys holds, per node offered as a build candidate, the key of
+	// its build state (the namespace names the table's form); "" elsewhere.
+	buildKeys []string
 	// optSrc maps each entry of opts back to its index in the spec's
 	// declared Pivots (-1 = the (Pivot, Model) fallback of a spec offering
 	// no candidates); optModel resolves per-submit models through it.
@@ -182,9 +185,11 @@ func compileWith(spec QuerySpec, ident tableIdentFn) *Compiled {
 	c.keys = make([]string, len(c.opts))
 	c.epochs = make([]uint64, len(c.opts))
 	c.optSrc = make([]int, len(c.opts))
+	c.buildKeys = make([]string, n)
 	for j, opt := range c.opts {
 		if opt.Build {
-			c.keys[j] = c.fps[opt.Pivot] + buildKeySuffix
+			c.keys[j] = c.fps[opt.Pivot] + buildKeySuffixAt(spec, opt.Pivot)
+			c.buildKeys[opt.Pivot] = c.keys[j]
 		} else {
 			c.keys[j] = c.fps[opt.Pivot]
 		}
@@ -279,8 +284,9 @@ func colsEqual(a, b []string) bool {
 // shareKeyAt returns the canonical share key of the subtree at pivot.
 func (c *Compiled) shareKeyAt(pivot int) string { return c.fps[pivot] }
 
-// buildKeyAt returns the build-state share key of the subtree at pivot.
-func (c *Compiled) buildKeyAt(pivot int) string { return c.fps[pivot] + buildKeySuffix }
+// buildKeyAt returns the build-state share key of the build candidate at
+// pivot.
+func (c *Compiled) buildKeyAt(pivot int) string { return c.buildKeys[pivot] }
 
 // epochAtNode returns the compile-time source-table epoch sum of the subtree
 // at pivot (current while Valid holds).

@@ -51,10 +51,13 @@ import (
 //     neither more nor less than before.
 //
 // A share key is the canonical form of the subtree rooted at the pivot.
-// Build-side sharing uses the same canonical subtree with a "!build" marker,
-// since attaching to a materialized hash table is a different contract than
-// consuming a fanned-out page stream: the two kinds of group must never
-// collide in the joinable map.
+// Build-side sharing uses the same canonical subtree with a marker naming
+// the table's form — "!build" for a table that carries the build rows,
+// "!keys" for the key-set table a Semi or Anti build seals — since attaching
+// to a materialized hash table is a different contract than consuming a
+// fanned-out page stream, and a key-set table cannot serve a probe that
+// reads build rows: no two of the three may collide in the joinable map, on
+// the bus or in the keep-alive cache.
 //
 // Rendering is bottom-up: one pass over the topologically ordered nodes
 // computes every subtree's canonical form exactly once (children are always
@@ -128,12 +131,32 @@ func subplanFingerprint(spec QuerySpec, i int) string {
 	return subplanFingerprints(spec)[i]
 }
 
-// buildKeySuffix namespaces build-state share keys away from fan-out share
-// keys, and resultKeySuffix namespaces whole-plan result runs away from both.
+// buildKeySuffix and keySetKeySuffix namespace build-state share keys away
+// from fan-out share keys and from each other, by the form of the table the
+// build seals; resultKeySuffix namespaces whole-plan result runs away from
+// all of them.
 const (
 	buildKeySuffix  = "!build"
+	keySetKeySuffix = "!keys"
 	resultKeySuffix = "!result"
 )
+
+// buildKeySuffixAt returns the namespace of the table built from the subtree
+// at pivot: keySetKeySuffix when the join consuming it declares a Build that
+// seals a key-set table, buildKeySuffix otherwise. The form follows the
+// join's kind and only the built operator knows it, so this instantiates the
+// Build once; a factory error leaves the row-table namespace, and the submit
+// that runs the factory reports the error.
+func buildKeySuffixAt(spec QuerySpec, pivot int) string {
+	c := spec.pivotConsumer(pivot)
+	if c < 0 || spec.Nodes[c].Build == nil || spec.Nodes[c].BuildInput != pivot {
+		return buildKeySuffix
+	}
+	if jb, err := spec.Nodes[c].Build(); err == nil && jb.KeySet() {
+		return keySetKeySuffix
+	}
+	return buildKeySuffix
+}
 
 // shareKeyAt canonicalizes the subtree of spec rooted at the given pivot.
 // Queries whose keys are equal run the same subplan at and below the pivot
@@ -144,10 +167,11 @@ func shareKeyAt(spec QuerySpec, pivot int) string {
 
 // buildShareKeyAt canonicalizes the build subtree rooted at pivot for
 // build-state sharing: the same subplan identity as shareKeyAt under a
-// distinct namespace, because a build-state group hands members a sealed
-// hash table where a fan-out group hands them a page stream.
+// namespace naming the table's form, because a build-state group hands
+// members a sealed hash table where a fan-out group hands them a page
+// stream.
 func buildShareKeyAt(spec QuerySpec, pivot int) string {
-	return subplanFingerprint(spec, pivot) + buildKeySuffix
+	return subplanFingerprint(spec, pivot) + buildKeySuffixAt(spec, pivot)
 }
 
 // ShareKey returns the canonical identity of spec's shared subplan at its

@@ -44,7 +44,8 @@ type JoinFactory func(emit relop.Emit) (JoinOperator, error)
 // ProbeOperator is the probe phase of a split hash join: the engine attaches
 // it to a sealed hash table — its own group's, or one built once and shared
 // across queries — then streams the probe side through Push/Finish.
-// *relop.HashJoinProbe satisfies it.
+// *relop.HashJoinProbe satisfies it; its AttachTable refuses a key-set table
+// to a kind that reads build rows, which fails the member.
 type ProbeOperator interface {
 	OutSchema() storage.Schema
 	AttachTable(*relop.HashTable) error
@@ -56,7 +57,10 @@ type ProbeOperator interface {
 type ProbeFactory func(emit relop.Emit) (ProbeOperator, error)
 
 // BuildFactory creates the build-phase operator that materializes a join's
-// hash table (run once per shared build, not per member).
+// hash table (run once per shared build, not per member). Compiling a spec
+// also runs it once, discarding the build, to learn the form of the table it
+// seals: a key-set table (relop.JoinBuild.KeySet) is shared under its own
+// build-state key namespace.
 type BuildFactory func() (*relop.JoinBuild, error)
 
 // ScanSpec declares a base-table scan transparently enough for the engine

@@ -95,12 +95,26 @@
 // repeats each key over several rows; a run that straddles two pages costs
 // one lookup per page.
 //
+// Key-set tables. A Semi or Anti probe reads only whether its key is in the
+// table, so the build of those kinds (NewJoinBuildFor, and HashJoin for
+// them) seals a key-set table: the key table and each key's row count, held
+// in the same offsets array, with no row vectors, no row ids and no per-row
+// key ids. Its Push copies nothing and its Finish skips the counting pass.
+// MatchCounts and Len read the counts either form keeps, FootprintBytes
+// charges 16 bytes per distinct key, Rows is an empty batch of the build
+// schema, and Matches panics. AttachTable refuses a key-set table to the
+// kinds that read build rows (Inner, LeftOuter). A row-carrying table serves
+// every kind.
+//
 // Build storage. A build's row vectors, key table, offsets, row ids and
 // per-row key ids form one store, kept in a sync.Pool per build layout (the
-// build schema's column types). A JoinBuild takes a store at its first Push,
-// where it also applies its row hint; a recycled store keeps its capacity
-// and its key table keeps its slots, so a warm build no larger than an
-// earlier one of its layout allocates nothing and never regrows. The sealed
+// build schema's column types). Row and key-set builds of one layout share
+// the pool: a key-set build uses a store's key table and offsets and leaves
+// its row vectors empty. A JoinBuild takes a store at its first Push, where
+// it also applies its row hint (a key-set build, which keeps no rows,
+// ignores it); a recycled store keeps its capacity and its key table keeps
+// its slots, so a warm build no larger than an earlier one of its layout
+// allocates nothing and never regrows. The sealed
 // HashTable owns the store until Recycle hands it back and nils the table's
 // slices, so a late read panics rather than seeing the next build's rows.
 // Storage is recycled at exactly two points, each the one moment no reader

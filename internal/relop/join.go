@@ -53,6 +53,12 @@ func (k JoinKind) String() string {
 // rowIDs[offsets[id]:offsets[id+1]] lists that key's build rows in insertion
 // order (compressed sparse rows, filled by a stable counting pass at seal).
 //
+// A key-set table (KeySet) is the form a Semi or Anti build seals: the key
+// table and the per-key row counts (offsets[id+1]-offsets[id]) only, with no
+// row vectors and no row ids, since those probes read nothing of a build
+// row but whether its key is there. Its Rows is an empty batch of the build
+// schema, which still carries the shared-page reader claims.
+//
 // The table owns its build's store — the row vectors, the key table and the
 // index — and Recycle hands that store back to its layout's pool for the
 // next build. Whoever knows that no reader remains calls it: HashJoin.Finish
@@ -68,6 +74,7 @@ type HashTable struct {
 	offsets   []int32
 	rowIDs    []int
 	footprint int64
+	keySet    bool
 	store     *buildStore
 	pool      *sync.Pool
 }
@@ -78,22 +85,38 @@ func (t *HashTable) Schema() storage.Schema { return t.schema }
 // Key returns the build key column name.
 func (t *HashTable) Key() string { return t.key }
 
-// Rows returns the materialized build rows. Shared tables are read-only.
+// Rows returns the materialized build rows: an empty batch for a key-set
+// table. Shared tables are read-only.
 func (t *HashTable) Rows() *storage.Batch { return t.rows }
 
-// Len returns the number of build rows.
-func (t *HashTable) Len() int { return t.rows.Len() }
+// KeySet reports whether the table keeps only its keys and their row
+// counts, the form a Semi or Anti build seals (see NewJoinBuildFor).
+func (t *HashTable) KeySet() bool { return t.keySet }
+
+// Len returns the number of build rows the table was built from; a key-set
+// table counts them without keeping them.
+func (t *HashTable) Len() int {
+	if len(t.offsets) == 0 {
+		return 0
+	}
+	return int(t.offsets[len(t.offsets)-1])
+}
 
 // FootprintBytes approximates the resident size of the sealed table: the
 // materialized build rows plus the key index (16 bytes per distinct key and
-// one 8-byte row reference per indexed row). The keep-alive cache charges
-// this against its byte budget when deciding whether retaining the table
-// beats rebuilding it. Computed once, at seal.
+// one 8-byte row reference per indexed row), or only the 16 bytes per key of
+// a key-set table. The keep-alive cache charges this against its byte budget
+// when deciding whether retaining the table beats rebuilding it. Computed
+// once, at seal.
 func (t *HashTable) FootprintBytes() int64 { return t.footprint }
 
 // Matches returns the build-row indices matching k, in insertion order (nil
-// when none). The slice aliases the index: read-only.
+// when none). The slice aliases the index: read-only. A key-set table keeps
+// no rows, so Matches on one panics.
 func (t *HashTable) Matches(k int64) []int {
+	if t.keySet {
+		panic("relop: Matches on a key-set table, which keeps no build rows")
+	}
 	id := t.keys.find(k)
 	if id < 0 {
 		return nil
@@ -101,12 +124,15 @@ func (t *HashTable) Matches(k int64) []int {
 	return t.rowIDs[t.offsets[id]:t.offsets[id+1]]
 }
 
-// MatchCounts returns, for each key in probeKeys, how many build rows match.
-// Q13 uses this to count orders per customer including zero counts.
+// MatchCounts returns, for each key in probeKeys, how many build rows match,
+// read from the per-key counts either form keeps. Q13 uses this to count
+// orders per customer including zero counts.
 func (t *HashTable) MatchCounts(probeKeys []int64) []int64 {
 	out := make([]int64, len(probeKeys))
 	for i, k := range probeKeys {
-		out[i] = int64(len(t.Matches(k)))
+		if id := t.keys.find(k); id >= 0 {
+			out[i] = int64(t.offsets[id+1] - t.offsets[id])
+		}
 	}
 	return out
 }
@@ -177,7 +203,8 @@ func storePool(schema storage.Schema) *sync.Pool {
 type JoinBuild struct {
 	tbl *HashTable
 	// rowKey is each pushed row's dense key id; Finish turns it (with the
-	// per-key counts accumulating in tbl.offsets) into the table's index.
+	// per-key counts accumulating in tbl.offsets) into the table's index. A
+	// key-set build keeps none.
 	rowKey []int32
 	// reserve is the row-count hint, applied by the first Push: a build is
 	// constructed at submit, under the engine's lock, and the reservation
@@ -190,8 +217,23 @@ type JoinBuild struct {
 }
 
 // NewJoinBuild constructs a build over the given schema keyed on buildKey.
+// Its table carries the build rows, so a probe of any kind may read it.
 func NewJoinBuild(build storage.Schema, buildKey string) (*JoinBuild, error) {
 	return NewJoinBuildSized(build, buildKey, 0)
+}
+
+// NewJoinBuildFor is NewJoinBuildSized for the build side of a join of the
+// given kind: a Semi or Anti build seals a key-set table (HashTable.KeySet),
+// which keeps only the distinct keys and their row counts, since those
+// probes never read a build row; every other kind seals the row-carrying
+// table.
+func NewJoinBuildFor(kind JoinKind, build storage.Schema, buildKey string, hint int) (*JoinBuild, error) {
+	jb, err := NewJoinBuildSized(build, buildKey, hint)
+	if err != nil {
+		return nil, err
+	}
+	jb.tbl.keySet = kind == Semi || kind == Anti
+	return jb, nil
 }
 
 // NewJoinBuildSized is NewJoinBuild with a row-count hint: everything that
@@ -231,6 +273,9 @@ func NewJoinBuildSized(build storage.Schema, buildKey string, hint int) (*JoinBu
 	}, nil
 }
 
+// KeySet reports whether the build seals a key-set table.
+func (jb *JoinBuild) KeySet() bool { return jb.tbl.keySet }
+
 // FreshStorage makes the build allocate its own store rather than take a
 // pooled one. The engine asks for it when the sealed table may be handed to
 // the keep-alive cache: the cache charges FootprintBytes against its budget,
@@ -243,9 +288,14 @@ func (jb *JoinBuild) FreshStorage() { jb.fresh = true }
 func (jb *JoinBuild) OutSchema() storage.Schema { return jb.tbl.schema }
 
 // takeStore gives the table its store, reset and sized to the hint: a
-// pooled one unless the build asked for fresh storage, else a new one.
+// pooled one unless the build asked for fresh storage, else a new one. A
+// key-set build sizes nothing by the hint, which counts rows it does not
+// keep, and leaves a pooled store's row vectors empty.
 func (jb *JoinBuild) takeStore() {
 	t, n := jb.tbl, jb.reserve
+	if t.keySet {
+		n = 0
+	}
 	var st *buildStore
 	if !jb.fresh {
 		st, _ = t.pool.Get().(*buildStore)
@@ -281,7 +331,8 @@ func (jb *JoinBuild) takeStore() {
 // Push implements Operator: appends one build-side batch column by column
 // and resolves its keys to dense ids, one lookup per run of equal
 // consecutive keys (a build side clustered on its key, as lineitem is on
-// l_orderkey, repeats each key over several rows).
+// l_orderkey, repeats each key over several rows). A key-set build copies
+// nothing: it only counts each run against its key.
 func (jb *JoinBuild) Push(b *storage.Batch) error {
 	if jb.done {
 		return ErrFinished
@@ -294,12 +345,26 @@ func (jb *JoinBuild) Push(b *storage.Batch) error {
 	if t.store == nil {
 		jb.takeStore()
 	}
-	t.rows.AppendBatch(b)
 	keys := b.Vecs[ki].I64
+	// Until Finish, offsets[id+2] counts the rows of key id.
+	if t.keySet {
+		for j := 0; j < len(keys); {
+			k, start := keys[j], j
+			id, added := t.keys.findOrAdd(k)
+			if added {
+				t.offsets = append(t.offsets, 0)
+			}
+			for j < len(keys) && keys[j] == k {
+				j++
+			}
+			t.offsets[id+2] += int32(j - start)
+		}
+		return nil
+	}
+	t.rows.AppendBatch(b)
 	base := len(jb.rowKey)
 	jb.rowKey = slices.Grow(jb.rowKey, len(keys))[:base+len(keys)]
 	rowKey := jb.rowKey[base:]
-	// Until Finish, offsets[id+2] counts the rows of key id.
 	for j := 0; j < len(keys); {
 		k, start := keys[j], j
 		id, added := t.keys.findOrAdd(k)
@@ -315,7 +380,8 @@ func (jb *JoinBuild) Push(b *storage.Batch) error {
 }
 
 // Finish implements Operator: seals the table. A counting pass over the
-// rows' key ids lays every key's rows out contiguously, in insertion order.
+// rows' key ids lays every key's rows out contiguously, in insertion order;
+// a key-set build, with no rows to lay out, skips it.
 func (jb *JoinBuild) Finish() error {
 	if jb.done {
 		return ErrFinished
@@ -325,20 +391,26 @@ func (jb *JoinBuild) Finish() error {
 	if t.store == nil {
 		jb.takeStore()
 	}
-	// The running sum leaves key id's start position in offsets[id+1]; the
-	// scatter advances it to the key's end, which is where offsets[id+1]
-	// belongs: the start of key id+1.
+	// The running sum leaves key id's start position in offsets[id+1] and
+	// its end in offsets[id+2].
 	for i := 1; i < len(t.offsets); i++ {
 		t.offsets[i] += t.offsets[i-1]
 	}
 	st := t.store
+	st.offsets = t.offsets
+	if t.keySet {
+		t.offsets = t.offsets[1:]
+		t.footprint = 16 * int64(t.keys.Len())
+		return nil
+	}
+	// The scatter advances offsets[id+1] to key id's end, which is where it
+	// belongs: the start of key id+1.
 	st.rowIDs = slices.Grow(st.rowIDs[:0], len(jb.rowKey))[:len(jb.rowKey)]
 	t.rowIDs = st.rowIDs
 	for row, id := range jb.rowKey {
 		t.rowIDs[t.offsets[id+1]] = row
 		t.offsets[id+1]++
 	}
-	st.offsets = t.offsets
 	t.offsets = t.offsets[:len(t.offsets)-1]
 	st.rowKey = jb.rowKey[:0]
 	jb.rowKey = nil
@@ -433,13 +505,17 @@ func NewHashJoinProbe(kind JoinKind, build storage.Schema, buildKey string, prob
 func (h *HashJoinProbe) OutSchema() storage.Schema { return h.outSchema }
 
 // AttachTable points the probe at a sealed hash table. The table's schema
-// and key must match what the probe was constructed against.
+// and key must match what the probe was constructed against, and a key-set
+// table serves only the kinds that read no build row (Semi, Anti).
 func (h *HashJoinProbe) AttachTable(t *HashTable) error {
 	if t == nil {
 		return fmt.Errorf("relop: attach of nil hash table")
 	}
 	if t.key != h.buildKey || !t.schema.Equal(h.buildSchema) {
 		return fmt.Errorf("relop: hash table (key %q) does not match probe build side (key %q)", t.key, h.buildKey)
+	}
+	if t.keySet && h.kind != Semi && h.kind != Anti {
+		return fmt.Errorf("relop: a %v probe reads build rows, which a key-set table does not keep", h.kind)
 	}
 	h.tbl = t
 	return nil
@@ -579,10 +655,11 @@ func NewHashJoin(kind JoinKind, build storage.Schema, buildKey string, probe sto
 }
 
 // NewHashJoinSized is NewHashJoin with a build-side row-count hint, passed to
-// NewJoinBuildSized so the build's row storage starts at its estimated size.
-// Advisory only.
+// NewJoinBuildFor so the build's row storage starts at its estimated size.
+// Advisory only. The build takes the form its kind reads: a key-set table for
+// Semi and Anti.
 func NewHashJoinSized(kind JoinKind, build storage.Schema, buildKey string, probe storage.Schema, probeKey string, buildHint int, emit Emit) (*HashJoin, error) {
-	jb, err := NewJoinBuildSized(build, buildKey, buildHint)
+	jb, err := NewJoinBuildFor(kind, build, buildKey, buildHint)
 	if err != nil {
 		return nil, err
 	}

@@ -177,51 +177,103 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			build, probe := tc.build(rand.New(rand.NewSource(seed)))
 			// Seeds vary the pre-sizing too: none, too small, generous.
-			jb, err := NewJoinBuildSized(joinDiffBuild, "bk", []int{0, 5, 4096}[seed-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range build {
-				if err := jb.Push(b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := jb.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			tbl := jb.Table()
+			hint := []int{0, 5, 4096}[seed-1]
+			tbl := sealTable(t, Inner, hint, build)
+			keys := sealTable(t, Semi, hint, build)
 			pairs := nlPairs(t, build, probe)
 			t.Run(fmt.Sprintf("%s/seed %d/table", tc.name, seed), func(t *testing.T) {
 				checkTableAgainstBuckets(t, tbl, probe)
 			})
+			t.Run(fmt.Sprintf("%s/seed %d/keyset table", tc.name, seed), func(t *testing.T) {
+				checkKeySetAgainst(t, keys, tbl, probe)
+			})
 			for _, kind := range []JoinKind{Inner, Semi, Anti, LeftOuter} {
 				t.Run(fmt.Sprintf("%s/seed %d/%v", tc.name, seed, kind), func(t *testing.T) {
-					pr, err := NewHashJoinProbe(kind, joinDiffBuild, "bk", joinDiffProbe, "pk", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					emit, got := Collect(pr.OutSchema())
-					pr.SetEmit(func(b *storage.Batch) error {
-						if b.Len() == 0 {
-							t.Error("probe emitted an empty page")
-						}
-						return emit(b)
-					})
-					if err := pr.AttachTable(tbl); err != nil {
-						t.Fatal(err)
-					}
-					for _, p := range probe {
-						if err := pr.Push(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := pr.Finish(); err != nil {
-						t.Fatal(err)
-					}
-					if err := sameBatch(got(), nlReference(t, kind, pairs, probe)); err != nil {
-						t.Fatal(err)
-					}
+					probeTable(t, kind, tbl, pairs, probe)
 				})
+				if kind == Semi || kind == Anti {
+					t.Run(fmt.Sprintf("%s/seed %d/%v/keyset", tc.name, seed, kind), func(t *testing.T) {
+						probeTable(t, kind, keys, pairs, probe)
+					})
+				}
+			}
+		}
+	}
+}
+
+// sealTable builds the table a join of the given kind reads from the build
+// pages.
+func sealTable(t *testing.T, kind JoinKind, hint int, build []*storage.Batch) *HashTable {
+	t.Helper()
+	jb, err := NewJoinBuildFor(kind, joinDiffBuild, "bk", hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range build {
+		if err := jb.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return jb.Table()
+}
+
+// probeTable probes tbl as a join of the given kind and holds the output to
+// the nested-loop reference.
+func probeTable(t *testing.T, kind JoinKind, tbl *HashTable, pairs *storage.Batch, probe []*storage.Batch) {
+	t.Helper()
+	pr, err := NewHashJoinProbe(kind, joinDiffBuild, "bk", joinDiffProbe, "pk", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit, got := Collect(pr.OutSchema())
+	pr.SetEmit(func(b *storage.Batch) error {
+		if b.Len() == 0 {
+			t.Error("probe emitted an empty page")
+		}
+		return emit(b)
+	})
+	if err := pr.AttachTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range probe {
+		if err := pr.Push(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pr.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameBatch(got(), nlReference(t, kind, pairs, probe)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkKeySetAgainst compares a key-set table with the row table of the same
+// build: no rows kept, the same row count and per-key match counts, and a
+// footprint of 16 bytes per distinct key.
+func checkKeySetAgainst(t *testing.T, keys, rows *HashTable, probe []*storage.Batch) {
+	t.Helper()
+	if !keys.KeySet() || rows.KeySet() {
+		t.Fatalf("KeySet() = %v for the semi build, %v for the inner one", keys.KeySet(), rows.KeySet())
+	}
+	if n := keys.Rows().Len(); n != 0 {
+		t.Errorf("the key-set table keeps %d build rows", n)
+	}
+	if keys.Len() != rows.Len() {
+		t.Errorf("Len() = %d, the row table's %d", keys.Len(), rows.Len())
+	}
+	distinct := len(naiveHashIndex(rows.Rows().Vecs[0].I64))
+	if got, want := keys.FootprintBytes(), 16*int64(distinct); got != want {
+		t.Errorf("FootprintBytes = %d, want %d (16 per key)", got, want)
+	}
+	for _, p := range probe {
+		got, want := keys.MatchCounts(p.Vecs[1].I64), rows.MatchCounts(p.Vecs[1].I64)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("MatchCounts: key %d counts %d, the row table %d", p.Vecs[1].I64[i], got[i], want[i])
 			}
 		}
 	}

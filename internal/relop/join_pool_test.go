@@ -219,12 +219,15 @@ func TestHashTableRecycleIsIdempotent(t *testing.T) {
 
 // FuzzJoin runs two to four private hash joins back to back through one
 // layout's store pool, each of any kind, build size, key spread and hint,
-// and holds every one to the nested-loop join. Every join after the first
-// inherits the store the one before it recycled, so stale rows, keys or
-// index entries left in a store show up as a mismatch. The committed corpus
-// (testdata/fuzz/FuzzJoin) covers a build smaller than the last, empty
-// builds, key counts that outgrow the recycled key table, and build keys
-// that arrive sorted (bit 2 of a join's kind byte), in runs of equal keys.
+// and holds every one to the nested-loop join. Semi and Anti joins seal
+// key-set tables and the other kinds row tables, from the same pool. Every
+// join after the first inherits the store the one before it recycled, so
+// stale rows, keys, counts or index entries left in a store show up as a
+// mismatch. The committed corpus (testdata/fuzz/FuzzJoin) covers a build
+// smaller than the last, empty builds, key counts that outgrow the recycled
+// key table, build keys that arrive sorted (bit 2 of a join's kind byte) in
+// runs of equal keys, and Semi and Anti builds with duplicate keys, empty,
+// and alternating with row builds over one store.
 func FuzzJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, joins uint8, plan []byte) {
 		rng := rand.New(rand.NewSource(seed))

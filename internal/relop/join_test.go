@@ -528,3 +528,44 @@ func TestHashTableFootprintBytes(t *testing.T) {
 			16, small.FootprintBytes(), 256, large.FootprintBytes())
 	}
 }
+
+// A Semi or Anti join builds the key-set table, every other kind the
+// row-carrying one; a key-set table serves only the kinds that read no
+// build row, and Matches on it panics rather than report no rows.
+func TestKeySetTableForm(t *testing.T) {
+	build, _ := joinDiffCase{buildPages: []int{30, 30}, buildKeys: 9}.build(rand.New(rand.NewSource(2)))
+	for _, kind := range []JoinKind{Inner, Semi, Anti, LeftOuter} {
+		hj, err := NewHashJoin(kind, joinDiffBuild, "bk", joinDiffProbe, "pk", func(*storage.Batch) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range build {
+			if err := hj.PushBuild(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := hj.FinishBuild(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := hj.Table().KeySet(), kind == Semi || kind == Anti; got != want {
+			t.Errorf("%v join: KeySet() = %v, want %v", kind, got, want)
+		}
+	}
+	keys := sealTable(t, Anti, 0, build)
+	for _, kind := range []JoinKind{Inner, Semi, Anti, LeftOuter} {
+		pr, err := NewHashJoinProbe(kind, joinDiffBuild, "bk", joinDiffProbe, "pk", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = pr.AttachTable(keys)
+		if reads := kind == Inner || kind == LeftOuter; (err != nil) != reads {
+			t.Errorf("%v probe of a key-set table: AttachTable err = %v", kind, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Matches on a key-set table did not panic")
+		}
+	}()
+	keys.Matches(0)
+}

@@ -195,10 +195,11 @@ func q4JoinPages(b *testing.B) (build, probe storage.Schema, buildPages, probePa
 	return build, probe, buildPages, probePages
 }
 
-// benchJoinBuild builds a table into freshly allocated storage: the cost of
-// a cold build, whatever the store pool holds.
-func benchJoinBuild(b *testing.B, schema storage.Schema, pages []*storage.Batch, hint int) *HashTable {
-	jb, err := NewJoinBuildSized(schema, "l_orderkey", hint)
+// benchJoinBuild builds the table a join of the given kind reads into
+// freshly allocated storage: the cost of a cold build, whatever the store
+// pool holds.
+func benchJoinBuild(b *testing.B, kind JoinKind, schema storage.Schema, pages []*storage.Batch, hint int) *HashTable {
+	jb, err := NewJoinBuildFor(kind, schema, "l_orderkey", hint)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,22 +215,24 @@ func benchJoinBuild(b *testing.B, schema storage.Schema, pages []*storage.Batch,
 	return jb.Table()
 }
 
-// BenchmarkJoinBuild builds Q4's table cold, without and with the row hint,
-// and warm: pooled is a private HashJoin's build-then-finish cycle, whose
-// Finish recycles the store the next iteration's build takes. Those arms
-// draw their keys at random; clustered runs the warm cycle over keys that
-// arrive sorted in runs of 1–7 rows, as lineitem reaches Q4's build after
-// its filter, so each run costs one key lookup.
+// BenchmarkJoinBuild builds a row-carrying table over Q4's build side cold,
+// without and with the row hint; keyset builds the key-set table Q4's semi
+// join seals, cold. pooled is a private inner HashJoin's build-then-finish
+// cycle, warm: its Finish recycles the store the next iteration's build
+// takes. Those arms draw their keys at random; clustered runs the warm cycle
+// over keys that arrive sorted in runs of 1–7 rows, as lineitem reaches Q4's
+// build after its filter, so each run costs one key lookup.
 func BenchmarkJoinBuild(b *testing.B) {
 	schema, probe, pages, _ := q4JoinPages(b)
 	for _, arm := range []struct {
 		name string
+		kind JoinKind
 		hint int
-	}{{"unsized", 0}, {"sized", 38000}} {
+	}{{"unsized", Inner, 0}, {"sized", Inner, 38000}, {"keyset", Semi, 38000}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchJoinBuild(b, schema, pages, arm.hint)
+				benchJoinBuild(b, arm.kind, schema, pages, arm.hint)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*38000), "ns/row")
 		})
@@ -238,7 +241,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				hj, err := NewHashJoinSized(Semi, schema, "l_orderkey", probe, "o_orderkey", 38000, func(*storage.Batch) error { return nil })
+				hj, err := NewHashJoinSized(Inner, schema, "l_orderkey", probe, "o_orderkey", 38000, func(*storage.Batch) error { return nil })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -270,10 +273,13 @@ func BenchmarkJoinBuild(b *testing.B) {
 	b.Run("clustered", pooled(clustered))
 }
 
+// BenchmarkJoinProbe probes Q4's orders against Q4's build side, each kind
+// against the table form it reads: Semi a key-set table, Inner the
+// row-carrying one.
 func BenchmarkJoinProbe(b *testing.B) {
 	build, probe, buildPages, probePages := q4JoinPages(b)
-	tbl := benchJoinBuild(b, build, buildPages, 0)
 	for _, kind := range []JoinKind{Semi, Inner} {
+		tbl := benchJoinBuild(b, kind, build, buildPages, 0)
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

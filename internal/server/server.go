@@ -300,8 +300,8 @@ func candidates(spec engine.QuerySpec) []core.Query {
 // fan-out share key at the spec's declared pivot (the join for Q4 and Q13),
 // which the engine reads from its compile memo, so a warm call renders
 // nothing. A group registered only under a build-state key (the "!build"
-// namespace of a build-side pivot candidate) is not among them. A plan
-// with shard forms spans the cluster: each shard is consulted for its
+// or "!keys" namespace of a build-side pivot candidate) is not among them.
+// A plan with shard forms spans the cluster: each shard is consulted for its
 // shard-qualified signature and for shard 0's fan-out key, which
 // canonicalizes identically on every shard when the subtree below the pivot
 // is replicated. A route-whole plan is looked up on shard 0.

@@ -148,9 +148,10 @@ func q4Spec(db *DB, pageRows int) engine.QuerySpec {
 }
 
 // semiJoinNode builds the Q4-shaped semi-join node with its split
-// Build/Probe forms declared, so the build side is a shareable pivot.
-// buildHint pre-sizes the build's hash table, split or inside the unshared
-// join, to the estimated build-side cardinality (zero = unsized).
+// Build/Probe forms declared, so the build side is a shareable pivot. Both
+// forms seal the key-set table a semi join reads (relop.NewJoinBuildFor), so
+// a shared or cached Q4 build holds its distinct keys only. buildHint is the
+// estimated build-side cardinality (zero = unknown).
 func semiJoinNode(name string, lineSchema, orderSchema storage.Schema, buildIn, probeIn, buildHint int) engine.NodeSpec {
 	return engine.NodeSpec{
 		Name:        name,
@@ -161,7 +162,7 @@ func semiJoinNode(name string, lineSchema, orderSchema storage.Schema, buildIn, 
 			return relop.NewHashJoinSized(relop.Semi, lineSchema, "l_orderkey", orderSchema, "o_orderkey", buildHint, emit)
 		},
 		Build: func() (*relop.JoinBuild, error) {
-			return relop.NewJoinBuildSized(lineSchema, "l_orderkey", buildHint)
+			return relop.NewJoinBuildFor(relop.Semi, lineSchema, "l_orderkey", buildHint)
 		},
 		Probe: func(emit relop.Emit) (engine.ProbeOperator, error) {
 			return relop.NewHashJoinProbe(relop.Semi, lineSchema, "l_orderkey", orderSchema, "o_orderkey", emit)
@@ -236,7 +237,7 @@ func outerJoinNode(name string, buildSchema, custSchema storage.Schema, buildIn,
 			return relop.NewHashJoinSized(relop.LeftOuter, buildSchema, "o_custkey", custSchema, "c_custkey", buildHint, emit)
 		},
 		Build: func() (*relop.JoinBuild, error) {
-			return relop.NewJoinBuildSized(buildSchema, "o_custkey", buildHint)
+			return relop.NewJoinBuildFor(relop.LeftOuter, buildSchema, "o_custkey", buildHint)
 		},
 		Probe: func(emit relop.Emit) (engine.ProbeOperator, error) {
 			return relop.NewHashJoinProbe(relop.LeftOuter, buildSchema, "o_custkey", custSchema, "c_custkey", emit)
